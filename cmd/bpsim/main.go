@@ -43,7 +43,7 @@ func main() {
 		pathBits     = flag.Int("path-bits", 2, "target-address bits per event for -scheme path")
 		tageTables   = flag.Int("tage-tables", 0, "tagged table count for -scheme tage (0 = default)")
 		tageMinHist  = flag.Int("tage-min-hist", 0, "shortest geometric history for -scheme tage (0 = default)")
-		tageMaxHist  = flag.Int("tage-max-hist", 0, "longest geometric history for -scheme tage (0 = default)")
+		tageMaxHist  = flag.Int("tage-max-hist", 0, fmt.Sprintf("longest geometric history for -scheme tage, in branches, at most %d (0 = default %d)", core.MaxTAGEHist, core.DefaultTAGE.MaxHist))
 		tageTagBits  = flag.Int("tage-tag-bits", 0, "tag width for -scheme tage (0 = default)")
 		tageUPeriod  = flag.Int("tage-u-period", 0, "useful-bit aging period for -scheme tage (0 = default, -1 = off)")
 		weightBits   = flag.Int("weight-bits", 0, "weight width for -scheme perceptron (0 = default)")

@@ -93,7 +93,8 @@ type TAGEParams struct {
 	// base); 0 means 4.
 	Tables int
 	// MinHist and MaxHist bound the geometric history-length series
-	// L_i = min(MaxHist, MinHist<<i); 0 means 4 and 32.
+	// L_i = min(MaxHist, MinHist<<i); 0 means 4 and 32. MaxHist is at
+	// most MaxTAGEHist.
 	MinHist int
 	MaxHist int
 	// TagBits is the partial-tag width per tagged entry; 0 means 8.
@@ -103,6 +104,9 @@ type TAGEParams struct {
 	// Negative disables aging.
 	UPeriod int
 }
+
+// MaxTAGEHist is the longest TAGE history length, in branches.
+const MaxTAGEHist = 640
 
 // DefaultTAGE holds the effective defaults for zero-valued TAGEParams
 // fields.
@@ -287,8 +291,9 @@ func (c Config) Validate() error {
 		if tg.Tables < 1 || tg.Tables > 16 {
 			return fmt.Errorf("core: TAGE tables %d out of [1,16]", tg.Tables)
 		}
-		if tg.MinHist < 1 || tg.MinHist > tg.MaxHist || tg.MaxHist > 64 {
-			return fmt.Errorf("core: TAGE history lengths %d..%d invalid (need 1 <= min <= max <= 64)", tg.MinHist, tg.MaxHist)
+		if tg.MinHist < 1 || tg.MinHist > tg.MaxHist || tg.MaxHist > MaxTAGEHist {
+			return fmt.Errorf("core: TAGE history lengths %d..%d invalid (need 1 <= min <= max <= %d)",
+				tg.MinHist, tg.MaxHist, MaxTAGEHist)
 		}
 		if tg.TagBits < 1 || tg.TagBits > 16 {
 			return fmt.Errorf("core: TAGE tag bits %d out of [1,16]", tg.TagBits)

@@ -60,6 +60,7 @@ func TestConfigValidateRejects(t *testing.T) {
 		{Scheme: Scheme(42)},
 		{Scheme: SchemeGAs, RowBits: 4, PathBits: 2},
 		{Scheme: SchemePath, RowBits: 4, PathBits: -1},
+		{Scheme: SchemeTAGE, RowBits: 4, TAGE: TAGEParams{MaxHist: MaxTAGEHist + 1}},
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {

@@ -147,24 +147,6 @@ func (t *McFarling) AliasStats() AliasStats {
 	return t.meter.Stats()
 }
 
-// Kernel accessors: the batched kernel hoists the raw tables and
-// writes the history register back per chunk.
-
-// Tables exposes the gshare, bimodal, and chooser counter arrays.
-func (t *McFarling) Tables() (gshare, bimodal, chooser []uint8) {
-	return t.gshare, t.bimodal, t.chooser
-}
-
-// Masks returns the gshare, bimodal, and chooser index masks.
-func (t *McFarling) Masks() (g, b, c uint64) { return t.gMask, t.bMask, t.cMask }
-
-// Hist returns the current history-register value.
-func (t *McFarling) Hist() uint64 { return t.ghr }
-
-// SetHist stores the history register (the kernel's chunk-end
-// write-back; v must already be masked to the gshare mask).
-func (t *McFarling) SetHist(v uint64) { t.ghr = v & t.gMask }
-
 var (
 	_ Predictor     = (*McFarling)(nil)
 	_ AliasReporter = (*McFarling)(nil)

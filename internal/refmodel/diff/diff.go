@@ -298,10 +298,16 @@ func LockstepConfig(cfg core.Config, tr *trace.Trace, maxDump int) (*Divergence,
 
 // EngineDump renders an engine predictor's state for divergence
 // reports: name, aliasing totals, and every counter away from its
-// initial value, capped at maxEntries lines (0 means uncapped).
+// initial value, capped at maxEntries lines (0 means uncapped). For
+// TAGE it prints the whole global history, in the oracle's format.
 func EngineDump(p core.Predictor, maxEntries int) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s\n", p.Name())
+	if tg, ok := p.(*core.TAGE); ok {
+		h := tg.HistoryBits()
+		fmt.Fprintf(&sb, "  history (%d outcomes, oldest first): %s\n", len(h), h)
+		return sb.String()
+	}
 	tl, ok := p.(*core.TwoLevel)
 	if !ok {
 		fmt.Fprintf(&sb, "  (opaque predictor %T: no state dump)\n", p)
@@ -458,6 +464,12 @@ func Battery(metered bool) []core.Config {
 			TAGE: core.TAGEParams{Tables: 6, MinHist: 3, MaxHist: 40, TagBits: 5, UPeriod: 256}},
 		{Scheme: core.SchemeTAGE, RowBits: 3, ColBits: 4,
 			TAGE: core.TAGEParams{Tables: 2, MinHist: 1, MaxHist: 64, TagBits: 4, UPeriod: -1}},
+		// Histories past one machine word: a series crossing 64 bits
+		// (4, 8, ..., 128, then 130) and one reaching the 640 cap.
+		{Scheme: core.SchemeTAGE, RowBits: 5, ColBits: 5,
+			TAGE: core.TAGEParams{Tables: 7, MinHist: 4, MaxHist: 130, TagBits: 7, UPeriod: 512}},
+		{Scheme: core.SchemeTAGE, RowBits: 6, ColBits: 6,
+			TAGE: core.TAGEParams{Tables: 7, MinHist: 10, MaxHist: 640, TagBits: 9}},
 		{Scheme: core.SchemePerceptron, RowBits: 10, ColBits: 6},
 		{Scheme: core.SchemePerceptron, RowBits: 5, ColBits: 3,
 			Perceptron: core.PerceptronParams{WeightBits: 4, Threshold: 6}},

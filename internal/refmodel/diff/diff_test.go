@@ -2,12 +2,14 @@ package diff
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	"bpred/internal/core"
 	"bpred/internal/history"
 	"bpred/internal/refmodel"
+	"bpred/internal/rng"
 	"bpred/internal/sim"
 	"bpred/internal/trace"
 )
@@ -54,6 +56,60 @@ func TestBatteryDifferential(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// longCorrelationTrace repeats one pattern: a key branch with a random
+// outcome, gap-1 iterations of an always-taken loop branch, then a
+// check branch that copies the key's outcome. At the check the key is
+// gap-1 outcomes old, so only a table whose history reaches that far
+// can tell the two check outcomes apart.
+func longCorrelationTrace(seed uint64, gap, n int) *trace.Trace {
+	r := rng.NewXoshiro256(seed)
+	tr := &trace.Trace{Name: fmt.Sprintf("long-correlation-%d", gap), Instructions: uint64(n) * 5}
+	for len(tr.Branches) < n {
+		k := r.Bool(0.5)
+		tr.Branches = append(tr.Branches, trace.Branch{PC: 0x1000, Target: 0x1010, Taken: k})
+		for i := 1; i < gap; i++ {
+			tr.Branches = append(tr.Branches, trace.Branch{PC: 0x8000, Target: 0x7f00, Taken: true})
+		}
+		tr.Branches = append(tr.Branches, trace.Branch{PC: 0x2000, Target: 0x2010, Taken: k})
+	}
+	tr.Branches = tr.Branches[:n]
+	return tr
+}
+
+// TestLongHistoryDifferential holds the battery's past-64-bit TAGE
+// entries to the oracle on traces that only their longest table can
+// predict, so a wrong bit anywhere in a long history changes the
+// result. (On the random battery traces long histories never repeat,
+// the longest tables rarely hit, and such bugs stay invisible.) The
+// trace's premise is checked too: halving MaxHist must cost
+// mispredicts.
+func TestLongHistoryDifferential(t *testing.T) {
+	long := 0
+	for _, metered := range []bool{false, true} {
+		for _, cfg := range Battery(metered) {
+			if cfg.Scheme != core.SchemeTAGE || cfg.TAGE.MaxHist <= 64 {
+				continue
+			}
+			long++
+			tr := longCorrelationTrace(3, cfg.TAGE.MaxHist-1, 20000)
+			for _, opt := range []sim.Options{{}, {Warmup: 7001, Chunk: 97}} {
+				requireEqual(t, cfg, tr, opt)
+			}
+			short := cfg
+			short.TAGE.MaxHist /= 2
+			full := sim.RunTrace(cfg.MustBuild(), tr, sim.Options{})
+			half := sim.RunTrace(short.MustBuild(), tr, sim.Options{})
+			if full.Mispredicts >= half.Mispredicts {
+				t.Errorf("%s: %d mispredicts, %d with MaxHist halved; the trace does not exercise the longest table",
+					cfg.Fingerprint(), full.Mispredicts, half.Mispredicts)
+			}
+		}
+	}
+	if long == 0 {
+		t.Fatal("the battery has no TAGE entry with a history past 64 bits")
 	}
 }
 

@@ -1,6 +1,10 @@
 package refmodel
 
-import "bpred/internal/trace"
+import (
+	"strings"
+
+	"bpred/internal/trace"
+)
 
 // Reference implementations of the modern schemes (DESIGN.md §15),
 // kept in this package's deliberately different style: sparse maps
@@ -23,13 +27,13 @@ type tageEntry struct {
 type tageState struct {
 	base   map[uint64]int         // base-table counter, absent = 2
 	tab    []map[uint64]tageEntry // per tagged table: index -> entry
-	ghr    uint64                 // global outcome history, newest in bit 0
+	hist   []int                  // the last MaxHist outcomes (0 or 1), newest first
 	tick   uint64                 // update counter driving aging
 	useAlt int                    // 0..15; >= 8 prefers altpred for weak providers
 }
 
 func newTAGEState(cfg Config) *tageState {
-	s := &tageState{base: make(map[uint64]int), useAlt: 8}
+	s := &tageState{base: make(map[uint64]int), hist: make([]int, cfg.TAGEMaxHist), useAlt: 8}
 	for i := 0; i < cfg.TAGETables; i++ {
 		s.tab = append(s.tab, make(map[uint64]tageEntry))
 	}
@@ -37,7 +41,7 @@ func newTAGEState(cfg Config) *tageState {
 }
 
 // tageHistLen returns table i's history length: the geometric series
-// min(MaxHist, MinHist*2^i), capped at the 64-bit register.
+// min(MaxHist, MinHist*2^i).
 func (m *Model) tageHistLen(i int) int {
 	l := m.cfg.TAGEMinHist
 	for j := 0; j < i; j++ {
@@ -52,35 +56,57 @@ func (m *Model) tageHistLen(i int) int {
 	return l
 }
 
-// histPrefix returns the low bits-long prefix of h.
-func histPrefix(h uint64, bits int) uint64 {
-	if bits >= 64 {
-		return h
-	}
-	return h % (uint64(1) << bits)
-}
-
-// onesPattern is the all-taken pattern at the given width.
-func onesPattern(bits int) uint64 {
-	if bits >= 64 {
-		return ^uint64(0)
-	}
-	return uint64(1)<<bits - 1
-}
-
-// foldMod XOR-folds h into the range [0, modulus) by repeated
-// division — the reference counterpart of the engine's shift/mask
-// fold.
-func foldMod(h, modulus uint64) uint64 {
+// foldMod XOR-folds the history value h = sum hist[a]*2^a into the
+// range [0, modulus) by repeated division — the from-scratch
+// reference counterpart of the engine's incrementally folded
+// registers. The history is a digit list, so "h % modulus" is the
+// value of the next log2(modulus) digits and "h /= modulus" moves
+// past them; modulus must be a power of two.
+func foldMod(hist []int, modulus uint64) uint64 {
 	if modulus <= 1 {
 		return 0
 	}
-	var f uint64
-	for h > 0 {
-		f ^= h % modulus
-		h /= modulus
+	var f, digit uint64
+	place := uint64(1)
+	for _, bit := range hist {
+		digit += uint64(bit) * place
+		place *= 2
+		if place == modulus {
+			f ^= digit
+			digit, place = 0, 1
+		}
 	}
-	return f
+	return f ^ digit
+}
+
+// allTaken reports whether every outcome in hist was taken.
+func allTaken(hist []int) bool {
+	for _, bit := range hist {
+		if bit != 1 {
+			return false
+		}
+	}
+	return true
+}
+
+// histString renders hist oldest first, so the newest outcome is the
+// last character.
+func histString(hist []int) string {
+	var sb strings.Builder
+	for a := len(hist) - 1; a >= 0; a-- {
+		sb.WriteByte(byte('0' + hist[a]))
+	}
+	return sb.String()
+}
+
+// histValue packs hist (at most 64 outcomes) into a word, newest in
+// bit 0.
+func histValue(hist []int) uint64 {
+	var v uint64
+	for a := len(hist) - 1; a >= 0; a-- {
+		v = v*2 + uint64(hist[a])
+	}
+	return v
 }
 
 // stepTAGE is the TAGE reference step.
@@ -108,7 +134,7 @@ func (m *Model) stepTAGE(b trace.Branch) StepInfo {
 	match := make([]bool, nt)
 	provider, alt := -1, -1
 	for i := 0; i < nt; i++ {
-		h := histPrefix(s.ghr, m.tageHistLen(i))
+		h := s.hist[:m.tageHistLen(i)]
 		idxs[i] = (w ^ w/rowsN ^ foldMod(h, rowsN) ^ uint64(i)) % rowsN
 		// The tag folds the history a second time at half the modulus
 		// (doubled back in) so it is never a function of the index.
@@ -151,8 +177,7 @@ func (m *Model) stepTAGE(b trace.Branch) StepInfo {
 	allOnes := false
 	if provider >= 0 {
 		mc = cell{uint64(provider), idxs[provider]}
-		l := m.tageHistLen(provider)
-		allOnes = histPrefix(s.ghr, l) == onesPattern(l)
+		allOnes = allTaken(s.hist[:m.tageHistLen(provider)])
 	} else {
 		mc = cell{uint64(nt), colIdx}
 	}
@@ -269,23 +294,25 @@ func (m *Model) stepTAGE(b trace.Branch) StepInfo {
 		}
 	}
 
-	outcome := uint64(0)
+	info := StepInfo{
+		Predicted:     pred,
+		Row:           mc.row,
+		Col:           mc.col,
+		Pattern:       histValue(s.hist[:min(len(s.hist), 64)]),
+		AllOnes:       allOnes,
+		CounterBefore: ctrBefore,
+	}
+	outcome := 0
 	if b.Taken {
 		outcome = 1
 	}
-	s.ghr = s.ghr*2 + outcome
+	copy(s.hist[1:], s.hist)
+	s.hist[0] = outcome
 
 	if pred != b.Taken {
 		m.tot.Mispredicts++
 	}
-	return StepInfo{
-		Predicted:     pred,
-		Row:           mc.row,
-		Col:           mc.col,
-		Pattern:       histPrefix(s.ghr/2, m.cfg.TAGEMaxHist),
-		AllOnes:       allOnes,
-		CounterBefore: ctrBefore,
-	}
+	return info
 }
 
 // percState is the perceptron reference state.

@@ -213,7 +213,9 @@ type StepInfo struct {
 	// Row and Col are the selected table coordinates.
 	Row, Col uint64
 	// Pattern is the raw row-selection pattern before row reduction
-	// (the history register or looked-up first-level register).
+	// (the history register or looked-up first-level register). A
+	// TAGE history longer than 64 outcomes does not fit: Pattern
+	// holds its newest 64, and DumpState prints all of it.
 	Pattern uint64
 	// AllOnes reports whether the selecting outcome history was the
 	// all-taken pattern.
@@ -304,8 +306,9 @@ func New(cfg Config) (*Model, error) {
 		if cfg.TAGETables < 1 || cfg.TAGETables > 16 {
 			return nil, fmt.Errorf("refmodel: TAGE tables %d out of [1,16]", cfg.TAGETables)
 		}
-		if cfg.TAGEMinHist < 1 || cfg.TAGEMinHist > cfg.TAGEMaxHist || cfg.TAGEMaxHist > 64 {
-			return nil, fmt.Errorf("refmodel: TAGE history lengths %d..%d invalid", cfg.TAGEMinHist, cfg.TAGEMaxHist)
+		if cfg.TAGEMinHist < 1 || cfg.TAGEMinHist > cfg.TAGEMaxHist || cfg.TAGEMaxHist > 640 {
+			return nil, fmt.Errorf("refmodel: TAGE history lengths %d..%d invalid (need 1 <= min <= max <= 640)",
+				cfg.TAGEMinHist, cfg.TAGEMaxHist)
 		}
 		if cfg.TAGETagBits < 1 || cfg.TAGETagBits > 16 {
 			return nil, fmt.Errorf("refmodel: TAGE tag bits %d out of [1,16]", cfg.TAGETagBits)
@@ -636,8 +639,8 @@ func (m *Model) DumpState(maxEntries int) string {
 		for _, t := range m.tage.tab {
 			live += len(t)
 		}
-		fmt.Fprintf(&sb, "  ghr: %b, tick %d, tagged entries live: %d\n",
-			m.tage.ghr, m.tage.tick, live)
+		fmt.Fprintf(&sb, "  history (%d outcomes, oldest first): %s\n  tick %d, tagged entries live: %d\n",
+			len(m.tage.hist), histString(m.tage.hist), m.tage.tick, live)
 	case Perceptron:
 		fmt.Fprintf(&sb, "  ghr: %b, weight vectors touched: %d\n",
 			m.perc.ghr, len(m.perc.w))

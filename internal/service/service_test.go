@@ -327,6 +327,28 @@ func TestSubmitRejections(t *testing.T) {
 	}
 }
 
+// TestSubmitTAGEHistoryCap checks the TAGE history cap at the API: a
+// 640-outcome history is accepted and runs to completion, 641 is a
+// 400.
+func TestSubmitTAGEHistoryCap(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	info := upload(t, ts, encodeBPT1(t, genTrace(t, 3000, 7)))
+	spec := func(maxHist int) JobSpec {
+		return JobSpec{Trace: info.Digest, Scheme: "tage", Tiers: []int{6},
+			TAGE: &TAGESpec{Tables: 8, MinHist: 5, MaxHist: maxHist}}
+	}
+	ack, code := submit(t, ts, spec(640))
+	if code != http.StatusAccepted {
+		t.Fatalf("max_hist 640: status = %d, want 202", code)
+	}
+	if st := waitTerminal(t, ts, ack.ID); st.State != StateDone {
+		t.Fatalf("max_hist 640: job ended %s (%s)", st.State, st.Error)
+	}
+	if _, code := submit(t, ts, spec(641)); code != http.StatusBadRequest {
+		t.Errorf("max_hist 641: status = %d, want 400", code)
+	}
+}
+
 func TestBackpressure(t *testing.T) {
 	release := make(chan struct{})
 	m, ts := newTestServer(t, func(c *Config) {

@@ -65,13 +65,8 @@ type kernel struct {
 // counter tables — kept as a first-class mode for differential
 // testing and for cache-constrained hosts where the footprint wins.
 func kernelFor(p core.Predictor, mode KernelMode) kernel {
-	switch m := p.(type) {
-	case *core.TAGE:
-		return kernel{run: tageKernel(m)}
-	case *core.Perceptron:
+	if m, ok := p.(*core.Perceptron); ok {
 		return kernel{run: perceptronKernel(m)}
-	case *core.McFarling:
-		return kernel{run: mcfarlingKernel(m)}
 	}
 	t, ok := p.(*core.TwoLevel)
 	if !ok {

@@ -5,29 +5,13 @@ import (
 	"bpred/internal/trace"
 )
 
-// Modern-scheme kernels (DESIGN.md §15). TAGE's per-branch step is
-// inherently multi-table and stash-driven, so its kernel drives the
-// concrete, fully monomorphic core.TAGE.Access directly — every call
-// in the loop is a static dispatch the inliner can see through. The
-// perceptron and tournament kernels follow the classic pattern: raw
-// state hoisted into locals, the history value carried in a register
-// across the chunk and written back at the end, and the bit-identity
-// with the generic Predict/Update path enforced by kernel_test.go and
-// the refmodel differential harness.
-
-// tageKernel is the SchemeTAGE fast path.
-//
-//bpred:kernel
-func tageKernel(t *core.TAGE) kernelFunc {
-	return func(chunk []trace.Branch) uint64 {
-		var miss uint64
-		for i := range chunk {
-			b := chunk[i]
-			miss += b2u64(t.Access(b) != b.Taken)
-		}
-		return miss
-	}
-}
+// The perceptron kernel (DESIGN.md §15): raw state hoisted into
+// locals, the history value carried in a register across the chunk
+// and written back at the end, and the bit-identity with the generic
+// Predict/Update path enforced by kernel_test.go and the refmodel
+// differential harness. TAGE and the tournament have no kernel of
+// their own: measured against genericKernel, theirs lost, so kernelFor
+// routes them to the generic loop.
 
 // perceptronKernel is the SchemePerceptron fast path: the weight
 // table, clamp bounds, and history register are hoisted; the dot
@@ -128,47 +112,5 @@ func trainPerceptron(vec []int32, hist uint64, taken bool, wmin, wmax int32) {
 			vec[k] = w - 1
 		}
 		h >>= 1
-	}
-}
-
-// mcfarlingKernel is the SchemeTournament fast path: three hoisted
-// two-bit tables with branchless saturating steps; the chooser trains
-// only when the components disagree.
-//
-//bpred:kernel
-func mcfarlingKernel(t *core.McFarling) kernelFunc {
-	gshare, bimodal, chooser := t.Tables()
-	gMask, bMask, cMask := t.Masks()
-	meter := t.Meter()
-	return func(chunk []trace.Branch) uint64 {
-		var miss uint64
-		val := t.Hist()
-		for i := range chunk {
-			b := chunk[i]
-			word := b.PC >> 2
-			gi := int((val ^ word) & gMask)
-			bi := int(word & bMask)
-			ci := int(word & cMask)
-			gs, bs, cs := gshare[gi], bimodal[bi], chooser[ci]
-			gp, bp := gs >= 2, bs >= 2
-			pred := bp
-			if cs >= 2 {
-				pred = gp
-			}
-			if meter != nil {
-				meter.Record(gi, b.PC, b.Taken, val == gMask)
-			}
-			up := b2u8(b.Taken)
-			gshare[gi] = gs + up&b2u8(gs < 3) - (1-up)&b2u8(gs > 0)
-			bimodal[bi] = bs + up&b2u8(bs < 3) - (1-up)&b2u8(bs > 0)
-			if gp != bp {
-				gup := b2u8(gp == b.Taken)
-				chooser[ci] = cs + gup&b2u8(cs < 3) - (1-gup)&b2u8(cs > 0)
-			}
-			val = (val<<1 | uint64(up)) & gMask
-			miss += b2u64(pred != b.Taken)
-		}
-		t.SetHist(val)
-		return miss
 	}
 }
