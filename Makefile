@@ -20,8 +20,11 @@ vet:
 # discipline, and resource pairing. -staleignores keeps the
 # suppression inventory honest: an //bplint:ignore that no longer
 # suppresses anything fails the build until it is deleted. See
-# README.md "Static analysis" and DESIGN.md §14.
+# README.md "Static analysis" and DESIGN.md §14. Any file gofmt would
+# rewrite also fails lint.
 lint:
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/bplint -staleignores ./...
 
 test:
@@ -64,10 +67,9 @@ soak:
 bench-short:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# bench-sim measures the simulation engine (generic vs byte-batched
-# vs bit-packed kernels, fused vs per-config sweeps) and records the
-# results as BENCH_sim.json so the perf trajectory is tracked across
-# PRs.
+# bench-sim measures the simulation engine (generic vs batched
+# kernels, fused vs per-config sweeps) and records the results as
+# BENCH_sim.json so the perf trajectory is tracked across PRs.
 BENCH_PATTERN = BenchmarkKernels|BenchmarkSweepChunked|BenchmarkSweepFusion
 
 bench-sim:

@@ -333,8 +333,7 @@ func kernelBenchConfigs() map[string]func() core.Predictor {
 			return core.NewGShare(8, 4).EnableMeter()
 		},
 		// A cache-hostile geometry (2^20 counters): the byte table is
-		// 1 MiB, the packed bank 256 KiB — this is where bit-packing
-		// pays, as opposed to the L1-resident tables above.
+		// 1 MiB, as opposed to the L1-resident tables above.
 		"gshare-1m": func() core.Predictor { return core.NewGShare(16, 4) },
 		// Modern families (DESIGN.md §15). Their kernels are selected by
 		// concrete type, so all three bench modes exercise the same fast
@@ -352,12 +351,9 @@ func kernelBenchConfigs() map[string]func() core.Predictor {
 }
 
 // BenchmarkKernels compares the generic interface-dispatched loop
-// (sim.Run) against both batched kernel families per scheme: the
-// byte-per-counter kernels ("batched", pinned to sim.KernelByte so the
-// series stays comparable across baselines) and the bit-packed banks
-// ("packed", what sim.RunTrace now selects by default for 2-bit
-// tables). The ratios over generic are the fast path's headline
-// numbers; scripts/bench emits them as BENCH_sim.json for cross-PR
+// (sim.Run) against the batched kernels ("batched", sim.RunTrace) per
+// scheme. The ratios over generic are the fast path's headline
+// numbers; `make bench-sim` records them as BENCH_sim.json for cross-PR
 // tracking and `make bench-check` gates regressions against it.
 func BenchmarkKernels(b *testing.B) {
 	prof, _ := workload.ProfileByName("espresso")
@@ -372,13 +368,7 @@ func BenchmarkKernels(b *testing.B) {
 		b.Run(name+"/batched", func(b *testing.B) {
 			b.SetBytes(int64(tr.Len()))
 			for i := 0; i < b.N; i++ {
-				sim.RunTrace(mk(), tr, sim.Options{Kernel: sim.KernelByte})
-			}
-		})
-		b.Run(name+"/packed", func(b *testing.B) {
-			b.SetBytes(int64(tr.Len()))
-			for i := 0; i < b.N; i++ {
-				sim.RunTrace(mk(), tr, sim.Options{Kernel: sim.KernelPacked})
+				sim.RunTrace(mk(), tr, sim.Options{})
 			}
 		})
 	}
@@ -402,23 +392,29 @@ func BenchmarkSweepChunked(b *testing.B) {
 }
 
 // BenchmarkSweepFusion isolates the fusion win on the same sweep:
-// "fused" is the config-parallel path, "per-config" runs every
-// geometry through its own kernel (the pre-fusion executor).
+// "fused" is the config-parallel path, "per-config" builds every
+// geometry and runs it through its own kernel (the pre-fusion
+// executor).
 func BenchmarkSweepFusion(b *testing.B) {
 	prof, _ := workload.ProfileByName("espresso")
 	tr := workload.Generate(prof, 1, 300_000)
 	configs := sweep.Configs(sweep.Options{Scheme: core.SchemeGShare, MinBits: 4, MaxBits: 10})
-	for _, v := range []struct {
-		name   string
-		noFuse bool
-	}{{"fused", false}, {"per-config", true}} {
-		b.Run(v.name, func(b *testing.B) {
-			b.SetBytes(int64(tr.Len() * len(configs)))
-			for i := 0; i < b.N; i++ {
-				if _, err := sim.RunConfigs(configs, tr, sim.Options{NoFuse: v.noFuse}); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("fused", func(b *testing.B) {
+		b.SetBytes(int64(tr.Len() * len(configs)))
+		for i := 0; i < b.N; i++ {
+			if _, err := sim.RunConfigs(configs, tr, sim.Options{}); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
+	b.Run("per-config", func(b *testing.B) {
+		b.SetBytes(int64(tr.Len() * len(configs)))
+		for i := 0; i < b.N; i++ {
+			preds := make([]core.Predictor, len(configs))
+			for j, c := range configs {
+				preds[j] = c.MustBuild()
+			}
+			sim.RunPredictors(preds, tr, sim.Options{})
+		}
+	})
 }

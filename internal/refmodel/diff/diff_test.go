@@ -42,6 +42,7 @@ func TestBatteryDifferential(t *testing.T) {
 	traces := []*trace.Trace{
 		SynthTrace(1, 2000),
 		SynthTrace(0xbeef, 500),
+		SynthTrace(3, 1500),
 	}
 	opts := []sim.Options{
 		{},

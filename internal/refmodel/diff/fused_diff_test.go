@@ -9,28 +9,6 @@ import (
 	"bpred/internal/trace"
 )
 
-// TestBatteryKernelModes pins both batched kernel families against the
-// oracle independently: the byte-per-counter reference kernels and the
-// bit-packed banks must each be bit-identical to the reference model
-// over the full battery. (The default KernelAuto path is covered by
-// TestBatteryDifferential.)
-func TestBatteryKernelModes(t *testing.T) {
-	tr := SynthTrace(3, 1500)
-	opts := []sim.Options{
-		{Kernel: sim.KernelByte},
-		{Kernel: sim.KernelPacked},
-		{Kernel: sim.KernelByte, Warmup: 137, Chunk: 64},
-		{Kernel: sim.KernelPacked, Warmup: 137, Chunk: 64},
-	}
-	for _, metered := range []bool{false, true} {
-		for _, cfg := range Battery(metered) {
-			for _, opt := range opts {
-				requireEqual(t, cfg, tr, opt)
-			}
-		}
-	}
-}
-
 // oracleScored replays one configuration through the reference model.
 func oracleScored(t *testing.T, cfg core.Config, branches []trace.Branch, warmup int) Scored {
 	t.Helper()

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"bpred/internal/core"
-	"bpred/internal/counter"
 	"bpred/internal/history"
 	"bpred/internal/obs"
 	"bpred/internal/trace"
@@ -39,10 +38,10 @@ import (
 // taxonomy is per-geometry work with no shared part worth fusing; they
 // fall back to the per-config kernels, as do wider counters.
 //
-// Each fused lane holds one geometry's packed counter bank and its
+// Each fused lane holds one geometry's byte-per-counter table and its
 // masks; the inner loop hoists the branch decode (PC column bits, the
 // outcome bit, the shared history value) once per branch and then runs
-// the packed counter step per lane. Results are bit-identical to the
+// the counter step per lane. Results are bit-identical to the
 // per-config kernels — enforced by fused_test.go and the refmodel
 // differential suite — so fusion changes only how often the trace is
 // decoded, never what is computed: fingerprints, checkpoint cells, and
@@ -116,28 +115,15 @@ func fuseGroups(configs []core.Config) ([]fuseGroup, []int) {
 }
 
 // fusedLane is one geometry's slice of a fused batch: its counter
-// bank plus the index masks, everything the per-branch inner loop
-// needs. Exactly one of words/bytes is set: small geometries run on
-// the table's own byte counters (a packed bank would fold the whole
-// table into one or two uint64 words, serializing every update behind
-// a store-to-load forward on the same address; distinct byte
-// addresses forward independently), while large geometries take the
-// bit-packed bank for its 4x footprint reduction.
+// table plus the index masks, everything the per-branch inner loop
+// needs. The lane runs on the table's own byte counters.
 type fusedLane struct {
 	rowMask uint64
 	colMask uint64
 	colBits uint
-	pcShift uint // gshare: address bits skipped by the XOR
-	words   []uint64
-	bytes   []uint8
+	bank    []uint8
 	miss    uint64
 }
-
-// fusedPackMin is the counter count at which a fused lane switches
-// from the byte bank to the packed bank: 1<<15 counters is 32 KiB of
-// bytes vs 8 KiB packed, the point where footprint starts to matter
-// more than the packed word's update serialization.
-const fusedPackMin = 1 << 15
 
 // fusedBatch runs one group of mask-compatible geometries over the
 // trace in a single pass. It mirrors runner's warmup accounting at
@@ -176,8 +162,8 @@ const fusedTile = 1024
 
 // newFusedBatch assembles the lanes and scheme loop for one group.
 // preds must be the configurations' built predictors (all TwoLevel for
-// fusable schemes); their tables seed the packed banks, and their
-// names label the metrics — the predictors themselves are not run.
+// fusable schemes); the lanes run on their tables, and their names
+// label the metrics — the predictors' own step methods are not run.
 func newFusedBatch(key fuseKey, idx []int, preds []core.Predictor, opt Options) *fusedBatch {
 	fb := &fusedBatch{
 		lanes: make([]fusedLane, len(idx)),
@@ -192,20 +178,14 @@ func newFusedBatch(key fuseKey, idx []int, preds []core.Predictor, opt Options) 
 	for j, i := range idx {
 		t := preds[i].(*core.TwoLevel)
 		tab := t.Table()
-		state, _, _ := tab.Raw()
 		l := &fb.lanes[j]
 		l.rowMask = tab.RowMask()
 		l.colMask = tab.ColMask()
 		l.colBits = uint(tab.ColBits())
-		if len(state) >= fusedPackMin {
-			l.words = counter.PackFrom(state).Words()
-		} else {
-			l.bytes = state
-		}
+		l.bank, _, _ = tab.Raw()
 		if sel, ok := t.Selector().(*core.GShareSelector); ok {
-			l.pcShift = 2 + uint(sel.ColBits())
-			// The byte-lane kernels fold the XOR's address shift into
-			// the shifted row mask (see laneGShareBytes4), which is
+			// The gshare lane kernels fold the XOR's address shift into
+			// the shifted row mask (see laneGShare4), which is
 			// only sound when the selector and the table agree on the
 			// column width — true by construction in NewGShare.
 			if uint(sel.ColBits()) != l.colBits {
@@ -307,23 +287,11 @@ func (f *fusedBatch) finishInto(out []Metrics) {
 // step, which profiles as the dominant cost. Per-config masking
 // happens where the per-config kernels do it, in the index expression.
 
-// ctrXor tabulates the 2-bit saturating counter transition as an XOR
-// delta: ctrXor[s<<1|u] == s ^ next(s, u). Indexing a tiny L1-resident
-// table replaces the two compares and three mask-arithmetic terms of
-// the branchless update — measurably cheaper in the fused loops, where
-// the counter step is the entire per-lane cost.
-var ctrXor = [8]uint64{
-	0b00<<1 | 0: 0 ^ 0, 0b00<<1 | 1: 0 ^ 1,
-	0b01<<1 | 0: 1 ^ 0, 0b01<<1 | 1: 1 ^ 2,
-	0b10<<1 | 0: 2 ^ 1, 0b10<<1 | 1: 2 ^ 3,
-	0b11<<1 | 0: 3 ^ 2, 0b11<<1 | 1: 3 ^ 3,
-}
-
-// ctrStep fuses the transition and the mispredict bit for the
-// byte-bank lanes: ctrStep[s<<1|u] == next(s,u) | ((s>>1)^u)<<8. The
-// table is sized 256 and indexed by a uint8 expression so the compiler
-// elides the bounds check without a masking AND; entries past 7 are
-// never reached (counter states are 0..3).
+// ctrStep fuses the 2-bit counter transition and the mispredict bit:
+// ctrStep[s<<1|u] == next(s,u) | ((s>>1)^u)<<8. The table is sized 256
+// and indexed by a uint8 expression so the compiler elides the bounds
+// check without a masking AND; entries past 7 are never reached
+// (counter states are 0..3).
 var ctrStep = [256]uint16{
 	0b00<<1 | 0: 0 | 0<<8, 0b00<<1 | 1: 1 | 1<<8,
 	0b01<<1 | 0: 0 | 0<<8, 0b01<<1 | 1: 2 | 1<<8,
@@ -331,81 +299,12 @@ var ctrStep = [256]uint16{
 	0b11<<1 | 0: 2 | 1<<8, 0b11<<1 | 1: 3 | 0<<8,
 }
 
-// laneAddress streams one decoded chunk through an address-indexed
-// lane (no history; lanes differ only in column mask).
+// laneAddress2 runs two address lanes in one pass over the decoded
+// tile (see laneGShare2).
 //
 //bpred:kernel
-func laneAddress(l *fusedLane, pcs []uint64, ups []uint8) {
-	words := l.words
-	colMask := l.colMask
-	miss := l.miss
-	pcs = pcs[:len(ups)]
-	for j := range ups {
-		u := uint64(ups[j])
-		idx := pcs[j] & colMask
-		sh := (idx & counter.LaneMask) << 1
-		w := words[idx>>counter.LaneShift]
-		s := w >> sh & 3
-		words[idx>>counter.LaneShift] = w ^ ctrXor[s<<1|u&1]<<sh
-		miss += (s >> 1) ^ u // prediction bit is the counter MSB
-	}
-	l.miss = miss
-}
-
-// laneHist streams one decoded chunk through a history-indexed lane
-// (global, path, and per-address geometries share this index shape).
-//
-//bpred:kernel
-func laneHist(l *fusedLane, pcs, hs []uint64, ups []uint8) {
-	words := l.words
-	rowMask, colMask, colBits := l.rowMask, l.colMask, l.colBits
-	miss := l.miss
-	pcs = pcs[:len(ups)]
-	hs = hs[:len(ups)]
-	for j := range ups {
-		u := uint64(ups[j])
-		idx := (hs[j]&rowMask)<<colBits | pcs[j]&colMask
-		sh := (idx & counter.LaneMask) << 1
-		w := words[idx>>counter.LaneShift]
-		s := w >> sh & 3
-		words[idx>>counter.LaneShift] = w ^ ctrXor[s<<1|u&1]<<sh
-		miss += (s >> 1) ^ u
-	}
-	l.miss = miss
-}
-
-// laneGShare streams one decoded chunk through a gshare lane: the XOR
-// happens per lane, each geometry skipping its own column bits (the
-// decoded PC column is pc>>2, so the per-lane shift is pcShift-2).
-//
-//bpred:kernel
-func laneGShare(l *fusedLane, pcs, hs []uint64, ups []uint8) {
-	words := l.words
-	rowMask, colMask, colBits := l.rowMask, l.colMask, l.colBits
-	csh := l.pcShift - 2
-	miss := l.miss
-	pcs = pcs[:len(ups)]
-	hs = hs[:len(ups)]
-	for j := range ups {
-		u := uint64(ups[j])
-		pc2 := pcs[j]
-		row := (hs[j] ^ pc2>>csh) & rowMask
-		idx := row<<colBits | pc2&colMask
-		sh := (idx & counter.LaneMask) << 1
-		w := words[idx>>counter.LaneShift]
-		s := w >> sh & 3
-		words[idx>>counter.LaneShift] = w ^ ctrXor[s<<1|u&1]<<sh
-		miss += (s >> 1) ^ u
-	}
-	l.miss = miss
-}
-
-// laneAddressBytes2 runs two byte-bank address lanes in one pass over
-// the decoded tile (see laneGShareBytes2).
-//
-//bpred:kernel
-func laneAddressBytes2(l0, l1 *fusedLane, pcs []uint64, ups []uint8) {
-	bank0, bank1 := l0.bytes, l1.bytes
+func laneAddress2(l0, l1 *fusedLane, pcs []uint64, ups []uint8) {
+	bank0, bank1 := l0.bank, l1.bank
 	colMask0, colMask1 := l0.colMask, l1.colMask
 	miss0, miss1 := l0.miss, l1.miss
 	pcs = pcs[:len(ups)]
@@ -425,11 +324,12 @@ func laneAddressBytes2(l0, l1 *fusedLane, pcs []uint64, ups []uint8) {
 	l1.miss = miss1
 }
 
-// laneAddressBytes is laneAddress over a byte-bank lane.
+// laneAddress streams one decoded tile through an address-indexed
+// lane (no history; lanes differ only in column mask).
 //
 //bpred:kernel
-func laneAddressBytes(l *fusedLane, pcs []uint64, ups []uint8) {
-	bank := l.bytes
+func laneAddress(l *fusedLane, pcs []uint64, ups []uint8) {
+	bank := l.bank
 	colMask := l.colMask
 	miss := l.miss
 	pcs = pcs[:len(ups)]
@@ -443,12 +343,12 @@ func laneAddressBytes(l *fusedLane, pcs []uint64, ups []uint8) {
 	l.miss = miss
 }
 
-// laneHistBytes2 runs two byte-bank history lanes in one pass over the
-// decoded tile (see laneGShareBytes2).
+// laneHist2 runs two history lanes in one pass over the decoded
+// tile (see laneGShare2).
 //
 //bpred:kernel
-func laneHistBytes2(l0, l1 *fusedLane, pcs, hs []uint64, ups []uint8) {
-	bank0, bank1 := l0.bytes, l1.bytes
+func laneHist2(l0, l1 *fusedLane, pcs, hs []uint64, ups []uint8) {
+	bank0, bank1 := l0.bank, l1.bank
 	rm0, colMask0, colBits0 := l0.rowMask<<l0.colBits, l0.colMask, l0.colBits
 	rm1, colMask1, colBits1 := l1.rowMask<<l1.colBits, l1.colMask, l1.colBits
 	miss0, miss1 := l0.miss, l1.miss
@@ -471,11 +371,12 @@ func laneHistBytes2(l0, l1 *fusedLane, pcs, hs []uint64, ups []uint8) {
 	l1.miss = miss1
 }
 
-// laneHistBytes is laneHist over a byte-bank lane.
+// laneHist streams one decoded tile through a history-indexed lane
+// (global, path, and per-address geometries share this index shape).
 //
 //bpred:kernel
-func laneHistBytes(l *fusedLane, pcs, hs []uint64, ups []uint8) {
-	bank := l.bytes
+func laneHist(l *fusedLane, pcs, hs []uint64, ups []uint8) {
+	bank := l.bank
 	rm, colMask, colBits := l.rowMask<<l.colBits, l.colMask, l.colBits
 	miss := l.miss
 	pcs = pcs[:len(ups)]
@@ -490,7 +391,7 @@ func laneHistBytes(l *fusedLane, pcs, hs []uint64, ups []uint8) {
 	l.miss = miss
 }
 
-// laneGShareBytes4 runs four byte-bank gshare lanes in one pass over
+// laneGShare4 runs four gshare lanes in one pass over
 // the decoded tile: each scratch load feeds all four lanes, and the
 // four independent update chains overlap in the pipeline. The lane
 // parameters exceed the register file, but the spill reloads hit L1
@@ -504,8 +405,8 @@ func laneHistBytes(l *fusedLane, pcs, hs []uint64, ups []uint8) {
 // newFusedBatch.
 //
 //bpred:kernel
-func laneGShareBytes4(l0, l1, l2, l3 *fusedLane, pcs, hs []uint64, ups []uint8) {
-	bank0, bank1, bank2, bank3 := l0.bytes, l1.bytes, l2.bytes, l3.bytes
+func laneGShare4(l0, l1, l2, l3 *fusedLane, pcs, hs []uint64, ups []uint8) {
+	bank0, bank1, bank2, bank3 := l0.bank, l1.bank, l2.bank, l3.bank
 	rm0, colMask0, colBits0 := l0.rowMask<<l0.colBits, l0.colMask, l0.colBits
 	rm1, colMask1, colBits1 := l1.rowMask<<l1.colBits, l1.colMask, l1.colBits
 	rm2, colMask2, colBits2 := l2.rowMask<<l2.colBits, l2.colMask, l2.colBits
@@ -540,13 +441,13 @@ func laneGShareBytes4(l0, l1, l2, l3 *fusedLane, pcs, hs []uint64, ups []uint8) 
 	l3.miss = miss3
 }
 
-// laneGShareBytes2 runs two byte-bank gshare lanes in one pass over
+// laneGShare2 runs two gshare lanes in one pass over
 // the decoded tile: each scratch load feeds both lanes, and the two
 // independent update chains overlap in the pipeline.
 //
 //bpred:kernel
-func laneGShareBytes2(l0, l1 *fusedLane, pcs, hs []uint64, ups []uint8) {
-	bank0, bank1 := l0.bytes, l1.bytes
+func laneGShare2(l0, l1 *fusedLane, pcs, hs []uint64, ups []uint8) {
+	bank0, bank1 := l0.bank, l1.bank
 	rm0, colMask0, colBits0 := l0.rowMask<<l0.colBits, l0.colMask, l0.colBits
 	rm1, colMask1, colBits1 := l1.rowMask<<l1.colBits, l1.colMask, l1.colBits
 	miss0, miss1 := l0.miss, l1.miss
@@ -569,11 +470,12 @@ func laneGShareBytes2(l0, l1 *fusedLane, pcs, hs []uint64, ups []uint8) {
 	l1.miss = miss1
 }
 
-// laneGShareBytes is laneGShare over a byte-bank lane.
+// laneGShare streams one decoded tile through a gshare lane: the XOR
+// happens per lane, each geometry skipping its own column bits.
 //
 //bpred:kernel
-func laneGShareBytes(l *fusedLane, pcs, hs []uint64, ups []uint8) {
-	bank := l.bytes
+func laneGShare(l *fusedLane, pcs, hs []uint64, ups []uint8) {
+	bank := l.bank
 	rm, colMask, colBits := l.rowMask<<l.colBits, l.colMask, l.colBits
 	miss := l.miss
 	pcs = pcs[:len(ups)]
@@ -591,26 +493,17 @@ func laneGShareBytes(l *fusedLane, pcs, hs []uint64, ups []uint8) {
 
 // histLanes dispatches the history-indexed lane loops (global, path,
 // and per-address geometries share this index shape), pairing up
-// byte-bank lanes.
+// lanes.
 //
 //bpred:kernel
 func (f *fusedBatch) histLanes(pcs, hs []uint64, ups []uint8) {
-	var pend *fusedLane
-	for k := range f.lanes {
-		l := &f.lanes[k]
-		if l.bytes == nil {
-			laneHist(l, pcs, hs, ups)
-			continue
-		}
-		if pend == nil {
-			pend = l
-			continue
-		}
-		laneHistBytes2(pend, l, pcs, hs, ups)
-		pend = nil
+	lanes := f.lanes
+	for len(lanes) >= 2 {
+		laneHist2(&lanes[0], &lanes[1], pcs, hs, ups)
+		lanes = lanes[2:]
 	}
-	if pend != nil {
-		laneHistBytes(pend, pcs, hs, ups)
+	if len(lanes) == 1 {
+		laneHist(&lanes[0], pcs, hs, ups)
 	}
 }
 
@@ -625,22 +518,13 @@ func (f *fusedBatch) runAddress(chunk []trace.Branch) {
 		pcs[i] = b.PC >> 2
 		ups[i] = uint8(b2u64(b.Taken))
 	}
-	var pend *fusedLane
-	for k := range f.lanes {
-		l := &f.lanes[k]
-		if l.bytes == nil {
-			laneAddress(l, pcs, ups)
-			continue
-		}
-		if pend == nil {
-			pend = l
-			continue
-		}
-		laneAddressBytes2(pend, l, pcs, ups)
-		pend = nil
+	lanes := f.lanes
+	for len(lanes) >= 2 {
+		laneAddress2(&lanes[0], &lanes[1], pcs, ups)
+		lanes = lanes[2:]
 	}
-	if pend != nil {
-		laneAddressBytes(pend, pcs, ups)
+	if len(lanes) == 1 {
+		laneAddress(&lanes[0], pcs, ups)
 	}
 }
 
@@ -680,29 +564,17 @@ func (f *fusedBatch) runGShare(chunk []trace.Branch) {
 		val = (val<<1 | u) & wideMask
 	}
 	f.val = val
-	var pend [4]*fusedLane
-	np := 0
-	for k := range f.lanes {
-		l := &f.lanes[k]
-		if l.bytes == nil {
-			laneGShare(l, pcs, hs, ups)
-			continue
-		}
-		pend[np] = l
-		np++
-		if np == 4 {
-			laneGShareBytes4(pend[0], pend[1], pend[2], pend[3], pcs, hs, ups)
-			np = 0
-		}
+	lanes := f.lanes
+	for len(lanes) >= 4 {
+		laneGShare4(&lanes[0], &lanes[1], &lanes[2], &lanes[3], pcs, hs, ups)
+		lanes = lanes[4:]
 	}
-	switch np {
-	case 3:
-		laneGShareBytes2(pend[0], pend[1], pcs, hs, ups)
-		laneGShareBytes(pend[2], pcs, hs, ups)
-	case 2:
-		laneGShareBytes2(pend[0], pend[1], pcs, hs, ups)
-	case 1:
-		laneGShareBytes(pend[0], pcs, hs, ups)
+	if len(lanes) >= 2 {
+		laneGShare2(&lanes[0], &lanes[1], pcs, hs, ups)
+		lanes = lanes[2:]
+	}
+	if len(lanes) == 1 {
+		laneGShare(&lanes[0], pcs, hs, ups)
 	}
 }
 
@@ -777,22 +649,12 @@ func runFusedBatch(ctx context.Context, fb *fusedBatch, branches []trace.Branch,
 	return true
 }
 
-// RunConfigsFused runs configurations with config-parallel fused
-// execution wherever a mask-compatible group exists, and the standard
-// per-config batched kernels for the remainder. It is the default
-// behind RunConfigsCtx; results are bit-identical to the per-config
-// path (same Metrics, same partial-result contract at batch
-// granularity on cancellation).
-func RunConfigsFused(ctx context.Context, configs []core.Config, t *trace.Trace, opt Options) ([]Metrics, error) {
-	preds, err := buildConfigs(configs, opt)
-	if err != nil {
-		return nil, err
-	}
-	groups, rest := fuseGroups(configs)
-	if len(groups) == 0 {
-		return RunPredictorsCtx(ctx, preds, t, opt)
-	}
-	out := make([]Metrics, len(configs))
+// runFused runs the fuse groups config-parallel and the remainder on
+// the per-config batched kernels (RunConfigsCtx's fused half). preds
+// are the built configurations; results keep the per-config path's
+// partial-result contract at batch granularity on cancellation.
+func runFused(ctx context.Context, groups []fuseGroup, rest []int, preds []core.Predictor, t *trace.Trace, opt Options) ([]Metrics, error) {
+	out := make([]Metrics, len(preds))
 	workers := runtime.GOMAXPROCS(0)
 
 	// Carve each group (and the per-config remainder) into strided
@@ -801,14 +663,14 @@ func RunConfigsFused(ctx context.Context, configs []core.Config, t *trace.Trace,
 	// task owns a disjoint set of out slots.
 	var tasks []func()
 	for _, g := range groups {
-		for _, sub := range strideSplit(g.idx, taskShare(workers, len(g.idx), len(configs))) {
+		for _, sub := range strideSplit(g.idx, taskShare(workers, len(g.idx), len(preds))) {
 			fb := newFusedBatch(g.key, sub, preds, opt)
 			tasks = append(tasks, func() {
 				runFusedBatch(ctx, fb, t.Branches, opt, out)
 			})
 		}
 	}
-	for _, sub := range strideSplit(rest, taskShare(workers, len(rest), len(configs))) {
+	for _, sub := range strideSplit(rest, taskShare(workers, len(rest), len(preds))) {
 		sub := sub
 		tasks = append(tasks, func() {
 			batch := make([]core.Predictor, len(sub))

@@ -6,12 +6,14 @@ import (
 	"testing"
 
 	"bpred/internal/core"
+	"bpred/internal/trace"
 )
 
 // fusedAxes enumerates sweep-axis-shaped configuration lists per
 // fusable class, plus a mixed list interleaving fusable and unfusable
 // configurations (metered, wide counters, finite first levels) to
-// exercise the group/remainder split.
+// exercise the group/remainder split. The -large axes span 2^14..2^16
+// counters, the table sizes of the top sweep tiers.
 func fusedAxes() map[string][]core.Config {
 	axes := map[string][]core.Config{}
 	var gshare, gas, address, path, pasPerfect []core.Config
@@ -32,8 +34,15 @@ func fusedAxes() map[string][]core.Config {
 	for rb := 2; rb <= 6; rb++ {
 		pasPerfect = append(pasPerfect, core.Config{Scheme: core.SchemePAs, RowBits: rb, ColBits: 2})
 	}
+	var gshareLarge, gasLarge []core.Config
+	for tb := 14; tb <= 16; tb++ {
+		gshareLarge = append(gshareLarge, core.Config{Scheme: core.SchemeGShare, RowBits: tb - 2, ColBits: 2})
+		gasLarge = append(gasLarge, core.Config{Scheme: core.SchemeGAs, RowBits: tb - 3, ColBits: 3})
+	}
 	axes["gshare"] = gshare
 	axes["gas"] = gas
+	axes["gshare-large"] = gshareLarge
+	axes["gas-large"] = gasLarge
 	axes["address"] = address
 	axes["path"] = path
 	axes["pas-perfect"] = pasPerfect
@@ -69,10 +78,20 @@ func fusedAxes() map[string][]core.Config {
 	return axes
 }
 
+// perConfig runs configs on the per-config reference path, every
+// configuration on its own kernel with no fusion.
+func perConfig(configs []core.Config, tr *trace.Trace, opt Options) ([]Metrics, error) {
+	preds, err := buildConfigs(configs, opt)
+	if err != nil {
+		return nil, err
+	}
+	return RunPredictorsCtx(context.Background(), preds, tr, opt)
+}
+
 // TestFusedEquivalence is the correctness contract of config-parallel
 // execution: for every axis, the fused RunConfigs results are
-// bit-identical to the per-config path (NoFuse) and to the generic
-// reference loop, across warmup and chunk-boundary edge cases.
+// bit-identical to the per-config path and to the generic reference
+// loop, across warmup and chunk-boundary edge cases.
 func TestFusedEquivalence(t *testing.T) {
 	tr := kernelTrace(21, 20_011)
 	opts := []Options{
@@ -89,9 +108,7 @@ func TestFusedEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("opt %d: fused: %v", oi, err)
 				}
-				unopt := opt
-				unopt.NoFuse = true
-				unfused, err := RunConfigs(configs, tr, unopt)
+				unfused, err := perConfig(configs, tr, opt)
 				if err != nil {
 					t.Fatalf("opt %d: unfused: %v", oi, err)
 				}
@@ -161,7 +178,7 @@ func TestFusedPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	configs := fusedAxes()["gshare"]
-	out, err := RunConfigsFused(ctx, configs, tr, Options{})
+	out, err := RunConfigsCtx(ctx, configs, tr, Options{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -188,7 +205,7 @@ func TestFusedPartialContract(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	go cancel() // races with the run: any prefix of batches may finish
-	out, err := RunConfigsFused(ctx, configs, tr, Options{Warmup: warmup, Chunk: 512})
+	out, err := RunConfigsCtx(ctx, configs, tr, Options{Warmup: warmup, Chunk: 512})
 	if err != nil && !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want nil or context.Canceled", err)
 	}
@@ -221,9 +238,7 @@ func FuzzFusedEquivalence(f *testing.F) {
 			if err != nil {
 				t.Fatalf("%s: fused: %v", name, err)
 			}
-			unopt := opt
-			unopt.NoFuse = true
-			unfused, err := RunConfigsCtx(context.Background(), configs, tr, unopt)
+			unfused, err := perConfig(configs, tr, opt)
 			if err != nil {
 				t.Fatalf("%s: unfused: %v", name, err)
 			}

@@ -61,39 +61,7 @@ type Options struct {
 	// (branches, chunks) updated at chunk boundaries. Nil disables
 	// instrumentation at the cost of one nil check per chunk.
 	Obs *obs.Counters
-	// Kernel selects the batched kernel family. The zero value
-	// (KernelAuto) picks the byte-per-counter kernels; KernelPacked
-	// opts 2-bit counter tables into the bit-packed banks (32
-	// counters per uint64). Results are bit-identical either way, so
-	// the knob exists for differential tests, benchmarks, and
-	// cache-constrained hosts, not correctness.
-	Kernel KernelMode
-	// NoFuse disables config-parallel fused execution in the
-	// RunConfigs entry points; every configuration then runs its own
-	// per-config kernel. Results are bit-identical with or without
-	// fusion — the toggle exists for differential tests and
-	// benchmarks.
-	NoFuse bool
 }
-
-// KernelMode selects which batched kernel family the runner uses.
-type KernelMode int
-
-const (
-	// KernelAuto (the zero value) uses the byte-per-counter kernels;
-	// identical to KernelByte today, named so callers can state they
-	// have no preference.
-	KernelAuto KernelMode = iota
-	// KernelByte forces the byte-per-counter kernels, the reference
-	// fast path.
-	KernelByte
-	// KernelPacked uses the packed kernels wherever they apply (2-bit
-	// counters, known scheme) and byte kernels elsewhere. The packed
-	// bank quarters the table footprint; on ALU-bound cores the extra
-	// lane arithmetic makes it slower than the byte kernels, which is
-	// why it is not the default.
-	KernelPacked
-)
 
 // Run drives one predictor over a branch source with the generic
 // interface-dispatched loop. It is the reference implementation the
@@ -253,19 +221,20 @@ func RunConfigs(configs []core.Config, t *trace.Trace, opt Options) ([]Metrics, 
 // configuration whose worker batch completed before the cancel
 // (recognizable by a non-empty Name) and zero Metrics for the rest.
 //
-// Unless opt.NoFuse is set, mask-compatible groups of configurations
-// (see fused.go) execute config-parallel: one trace pass drives every
-// geometry in the group at once. Fusion never changes results — only
-// how many times the trace is decoded.
+// Mask-compatible groups of configurations (see fused.go) execute
+// config-parallel: one trace pass drives every geometry in the group
+// at once, and the remainder runs on the per-config kernels. Fusion
+// never changes results — only how many times the trace is decoded.
 func RunConfigsCtx(ctx context.Context, configs []core.Config, t *trace.Trace, opt Options) ([]Metrics, error) {
-	if !opt.NoFuse {
-		return RunConfigsFused(ctx, configs, t, opt)
-	}
 	preds, err := buildConfigs(configs, opt)
 	if err != nil {
 		return nil, err
 	}
-	return RunPredictorsCtx(ctx, preds, t, opt)
+	groups, rest := fuseGroups(configs)
+	if len(groups) == 0 {
+		return RunPredictorsCtx(ctx, preds, t, opt)
+	}
+	return runFused(ctx, groups, rest, preds, t, opt)
 }
 
 // buildConfigs builds every configuration, failing fast on the first

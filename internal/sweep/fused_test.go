@@ -10,7 +10,27 @@ import (
 	"bpred/internal/checkpoint"
 	"bpred/internal/core"
 	"bpred/internal/sim"
+	"bpred/internal/trace"
 )
+
+// perConfigCells adds to store the per-config result of every
+// configuration not already in it: each geometry built and run on its
+// own kernel by sim.RunPredictors, with no fusion. A sweep over a store
+// holding all of its cells simulates nothing, so its Surface is the
+// per-config surface.
+func perConfigCells(store *checkpoint.Store, configs []core.Config, tr *trace.Trace, opt sim.Options) {
+	var missing []core.Config
+	var preds []core.Predictor
+	for _, c := range configs {
+		if _, ok := store.Lookup(c.Fingerprint()); !ok {
+			missing = append(missing, c)
+			preds = append(preds, c.MustBuild())
+		}
+	}
+	for i, m := range sim.RunPredictors(preds, tr, opt) {
+		store.Add(missing[i].Fingerprint(), m)
+	}
+}
 
 // TestFusedSurfaceIdentity requires the config-parallel fused path to
 // produce Surfaces deep- and byte-identical to the per-config path for
@@ -28,7 +48,8 @@ func TestFusedSurfaceIdentity(t *testing.T) {
 				t.Fatalf("fused: %v", err)
 			}
 			plain := o
-			plain.Sim.NoFuse = true
+			plain.Checkpoint = checkpoint.NewMemory(tr.Digest(), uint64(o.Sim.Warmup))
+			perConfigCells(plain.Checkpoint, Configs(o), tr, o.Sim)
 			unfused, err := Run(plain, tr)
 			if err != nil {
 				t.Fatalf("per-config: %v", err)
@@ -43,8 +64,8 @@ func TestFusedSurfaceIdentity(t *testing.T) {
 	}
 }
 
-// TestFusedResumeCrossPath interrupts a fused sweep, then resumes it
-// with fusion disabled (and vice versa): checkpoint cells written by
+// TestFusedResumeCrossPath interrupts a fused sweep and resumes it on
+// the per-config path (and vice versa): checkpoint cells written by
 // one execution strategy must be byte-compatible with the other, since
 // cell identity is keyed purely on config fingerprint + trace digest +
 // warmup.
@@ -62,34 +83,52 @@ func TestFusedResumeCrossPath(t *testing.T) {
 		t.Fatalf("baseline: %v", err)
 	}
 
+	// fusedInterrupt cancels a fused sweep once its first tier is
+	// checkpointed.
+	fusedInterrupt := func(t *testing.T, store *checkpoint.Store) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		interrupted := base
+		interrupted.Checkpoint = store
+		interrupted.afterTier = func(tableBits int) {
+			if tableBits == base.MinBits {
+				cancel()
+			}
+		}
+		if _, err := RunCtx(ctx, interrupted, tr); !errors.Is(err, context.Canceled) {
+			t.Fatalf("interrupted run: err = %v, want context.Canceled", err)
+		}
+	}
+	// perConfigInterrupt leaves what a per-config sweep canceled after
+	// its first tier keeps: that tier's cells.
+	perConfigInterrupt := func(t *testing.T, store *checkpoint.Store) {
+		perConfigCells(store, tierConfigs(base, base.MinBits), tr, base.Sim)
+	}
+	// perConfigResume simulates every missing cell per config, so the
+	// resumed sweep only assembles the surface; fusedResume leaves the
+	// missing cells to the resumed sweep's fused execution.
+	perConfigResume := func(store *checkpoint.Store) {
+		perConfigCells(store, Configs(base), tr, base.Sim)
+	}
+	fusedResume := func(*checkpoint.Store) {}
+
 	for _, dir := range []struct {
-		name                 string
-		interrupted, resumed bool // NoFuse flags
+		name      string
+		interrupt func(*testing.T, *checkpoint.Store)
+		resume    func(*checkpoint.Store)
 	}{
-		{"fused-then-per-config", false, true},
-		{"per-config-then-fused", true, false},
+		{"fused-then-per-config", fusedInterrupt, perConfigResume},
+		{"per-config-then-fused", perConfigInterrupt, fusedResume},
 	} {
 		t.Run(dir.name, func(t *testing.T) {
 			store := checkpoint.NewMemory(digest, warmup)
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			interrupted := base
-			interrupted.Sim.NoFuse = dir.interrupted
-			interrupted.Checkpoint = store
-			interrupted.afterTier = func(tableBits int) {
-				if tableBits == base.MinBits {
-					cancel()
-				}
-			}
-			if _, err := RunCtx(ctx, interrupted, tr); !errors.Is(err, context.Canceled) {
-				t.Fatalf("interrupted run: err = %v, want context.Canceled", err)
-			}
+			dir.interrupt(t, store)
 			if store.Len() == 0 {
 				t.Fatal("interrupted run checkpointed nothing")
 			}
 
+			dir.resume(store)
 			resumed := base
-			resumed.Sim.NoFuse = dir.resumed
 			resumed.Checkpoint = store
 			got, err := RunCtx(context.Background(), resumed, tr)
 			if err != nil {
