@@ -127,6 +127,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDiffTAGE -fuzztime 10s ./internal/refmodel/diff/
 	$(GO) test -run '^$$' -fuzz FuzzDiffPerceptron -fuzztime 10s ./internal/refmodel/diff/
 	$(GO) test -run '^$$' -fuzz FuzzDiffTournament -fuzztime 10s ./internal/refmodel/diff/
+	$(GO) test -run '^$$' -fuzz FuzzFusedEquivalence -fuzztime 10s ./internal/sim/
 
 # diff-fuzz differentially fuzzes every scheme family against the
 # independent reference model (internal/refmodel): random traces,

@@ -391,30 +391,38 @@ func BenchmarkSweepChunked(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepFusion isolates the fusion win on the same sweep:
-// "fused" is the config-parallel path, "per-config" builds every
-// geometry and runs it through its own kernel (the pre-fusion
-// executor).
+// BenchmarkSweepFusion isolates the fusion win: "fused" is the
+// config-parallel path, "per-config" builds every geometry and runs it
+// through its own kernel (the pre-fusion executor). The unprefixed
+// pair is the gshare tier sweep above; the tage pairs are a whole TAGE
+// sweep (tiers 4..10, 56 geometries, 11 distinct RowBits, the shape of
+// bpsweep and the sweep-modern benchmark) and one TAGE tier (tier 10,
+// every geometry a distinct RowBits, the shape of a checkpointed
+// service job, which runs tier by tier).
 func BenchmarkSweepFusion(b *testing.B) {
 	prof, _ := workload.ProfileByName("espresso")
 	tr := workload.Generate(prof, 1, 300_000)
-	configs := sweep.Configs(sweep.Options{Scheme: core.SchemeGShare, MinBits: 4, MaxBits: 10})
-	b.Run("fused", func(b *testing.B) {
-		b.SetBytes(int64(tr.Len() * len(configs)))
-		for i := 0; i < b.N; i++ {
-			if _, err := sim.RunConfigs(configs, tr, sim.Options{}); err != nil {
-				b.Fatal(err)
+	pair := func(prefix string, configs []core.Config) {
+		b.Run(prefix+"fused", func(b *testing.B) {
+			b.SetBytes(int64(tr.Len() * len(configs)))
+			for i := 0; i < b.N; i++ {
+				if _, err := sim.RunConfigs(configs, tr, sim.Options{}); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("per-config", func(b *testing.B) {
-		b.SetBytes(int64(tr.Len() * len(configs)))
-		for i := 0; i < b.N; i++ {
-			preds := make([]core.Predictor, len(configs))
-			for j, c := range configs {
-				preds[j] = c.MustBuild()
+		})
+		b.Run(prefix+"per-config", func(b *testing.B) {
+			b.SetBytes(int64(tr.Len() * len(configs)))
+			for i := 0; i < b.N; i++ {
+				preds := make([]core.Predictor, len(configs))
+				for j, c := range configs {
+					preds[j] = c.MustBuild()
+				}
+				sim.RunPredictors(preds, tr, sim.Options{})
 			}
-			sim.RunPredictors(preds, tr, sim.Options{})
-		}
-	})
+		})
+	}
+	pair("", sweep.Configs(sweep.Options{Scheme: core.SchemeGShare, MinBits: 4, MaxBits: 10}))
+	pair("tage-sweep/", sweep.Configs(sweep.Options{Scheme: core.SchemeTAGE, MinBits: 4, MaxBits: 10}))
+	pair("tage-tier/", sweep.Configs(sweep.Options{Scheme: core.SchemeTAGE, MinBits: 10, MaxBits: 10}))
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"bpred/internal/cacheline"
 	"bpred/internal/trace"
 )
 
@@ -22,6 +23,8 @@ import (
 // Aliasing is metered on the gshare component — the history-indexed
 // table where the paper's correlation-vs-aliasing tension lives.
 type McFarling struct {
+	_ cacheline.Pad // ghr and the stash are written per branch
+
 	name  string
 	gBits int
 	bBits int
@@ -44,6 +47,8 @@ type McFarling struct {
 	gp   bool
 	bp   bool
 	pred bool
+
+	_ cacheline.Pad
 }
 
 // NewMcFarling builds a tournament predictor with 2^gBits gshare
@@ -57,9 +62,9 @@ func NewMcFarling(gBits, bBits, cBits int, metered bool) *McFarling {
 		gBits:   gBits,
 		bBits:   bBits,
 		cBits:   cBits,
-		gshare:  make([]uint8, 1<<gBits),
-		bimodal: make([]uint8, 1<<bBits),
-		chooser: make([]uint8, 1<<cBits),
+		gshare:  cacheline.Make[uint8](1 << gBits),
+		bimodal: cacheline.Make[uint8](1 << bBits),
+		chooser: cacheline.Make[uint8](1 << cBits),
 		gMask:   uint64(1)<<gBits - 1,
 		bMask:   uint64(1)<<bBits - 1,
 		cMask:   uint64(1)<<cBits - 1,

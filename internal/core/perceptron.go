@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"bpred/internal/cacheline"
 	"bpred/internal/trace"
 )
 
@@ -19,6 +20,8 @@ import (
 // vector — so the standard taxonomy applies, metered at the
 // perceptron-table granularity.
 type Perceptron struct {
+	_ cacheline.Pad // ghr and the stash are written per branch
+
 	name      string
 	histLen   int
 	colBits   int
@@ -40,6 +43,8 @@ type Perceptron struct {
 	pBase int
 	pSum  int64
 	pred  bool
+
+	_ cacheline.Pad
 }
 
 // NewPerceptron builds a perceptron predictor with histLen history
@@ -58,7 +63,7 @@ func NewPerceptron(histLen, colBits int, params PerceptronParams, metered bool) 
 		wmin:      -(int32(1) << (p.WeightBits - 1)),
 		wmax:      int32(1)<<(p.WeightBits-1) - 1,
 		threshold: int64(p.Threshold),
-		weights:   make([]int32, (1<<colBits)*(histLen+1)),
+		weights:   cacheline.Make[int32]((1 << colBits) * (histLen + 1)),
 		histMask:  uint64(1)<<histLen - 1,
 		colMask:   uint64(1)<<colBits - 1,
 	}

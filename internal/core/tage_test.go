@@ -90,7 +90,7 @@ func TestTAGEFoldIdentity(t *testing.T) {
 			p := tg.params
 			var lens []int
 			for i := 0; i < p.Tables; i++ {
-				l := int(tg.tabs[i].histLen)
+				l := int(tg.hist.tabs[i].histLen)
 				if want := min(p.MaxHist, p.MinHist<<i); l != want {
 					t.Fatalf("table %d history length %d, want %d", i, l, want)
 				}
@@ -115,7 +115,8 @@ func TestTAGEFoldIdentity(t *testing.T) {
 				tg.Access(b)
 				hist.push(taken)
 				for i, l := range lens {
-					e := tg.tabs[i]
+					h := &tg.hist
+					e := h.tabs[i]
 					checks := []struct {
 						reg   string
 						got   uint64
@@ -131,7 +132,7 @@ func TestTAGEFoldIdentity(t *testing.T) {
 								step, i, l, c.reg, c.width, c.got, want)
 						}
 					}
-					if got, want := tg.ones >= uint64(l), hist.allTaken(l); got != want {
+					if got, want := h.ones >= uint64(l), hist.allTaken(l); got != want {
 						t.Fatalf("step %d table %d (L=%d): taken-run all-ones %t, history says %t",
 							step, i, l, got, want)
 					}
@@ -147,5 +148,47 @@ func TestTAGEFoldIdentity(t *testing.T) {
 				t.Fatalf("HistoryBits mismatch:\n got %s\nwant %s", got, want)
 			}
 		})
+	}
+}
+
+// TestTAGEHistorySharedWidths checks the identity the fused sweep
+// executor rests on: one TAGEHistory with several index widths hashes,
+// for every branch, exactly the tags and indices that lone predictors
+// of each width compute for themselves.
+func TestTAGEHistorySharedWidths(t *testing.T) {
+	rows := []int{5, 0, 10, 1, 7}
+	for ci, p := range []TAGEParams{
+		{},
+		{Tables: 8, MinHist: 5, MaxHist: 640, TagBits: 2, UPeriod: -1},
+		{Tables: 3, MinHist: 3, MaxHist: 12, TagBits: 1, UPeriod: 16},
+	} {
+		shared := NewTAGEHistory(p, rows)
+		lone := make([]*TAGE, len(rows))
+		for k, r := range rows {
+			lone[k] = NewTAGE(r, 4, p, false)
+		}
+		n := lone[0].params.Tables
+		idx, tag := make([]uint32, n), make([]uint32, n)
+		r := rng.NewXoshiro256(uint64(ci) + 7)
+		for step := 0; step < 4000; step++ {
+			b := trace.Branch{PC: uint64(r.Intn(4096)) << 2, Taken: r.Intn(3) != 0}
+			word := b.PC >> 2
+			for k, tg := range lone {
+				tg.Predict(b)
+				if k == 0 {
+					shared.Hash(word, idx, tag)
+				} else {
+					shared.Indices(k, word, idx)
+				}
+				for i := 0; i < n; i++ {
+					if idx[i] != tg.idx[i] || tag[i] != tg.tag[i] {
+						t.Fatalf("params %d step %d width %d table %d: shared idx/tag %#x/%#x, lone %#x/%#x",
+							ci, step, rows[k], i, idx[i], tag[i], tg.idx[i], tg.tag[i])
+					}
+				}
+				tg.Update(b)
+			}
+			shared.Push(b.Taken)
+		}
 	}
 }

@@ -1,6 +1,10 @@
 package counter
 
-import "fmt"
+import (
+	"fmt"
+
+	"bpred/internal/cacheline"
+)
 
 // Table is a dense 2^rows x 2^cols array of k-bit saturating counters
 // — the second-level structure of Figure 1 in the paper (two-bit by
@@ -9,7 +13,9 @@ import "fmt"
 // representation is one byte per counter; even the largest
 // configuration studied in the paper (2^15 counters) occupies only
 // 32 KiB, so packing density is traded for branch-free access on the
-// simulation fast path.
+// simulation fast path. The counters have their cache lines to
+// themselves (cacheline.Make), so tables simulated on different cores
+// never share a line.
 type Table struct {
 	rowBits int
 	colBits int
@@ -54,7 +60,7 @@ func NewTableBits(rowBits, colBits, counterBits int) *Table {
 		max:     max,
 		thresh:  thresh,
 		init:    thresh, // weakly taken
-		state:   make([]uint8, 1<<total),
+		state:   cacheline.Make[uint8](1 << total),
 	}
 	for i := range t.state {
 		t.state[i] = t.init

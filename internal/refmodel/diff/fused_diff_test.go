@@ -41,6 +41,17 @@ func TestFusedSweepVsOracle(t *testing.T) {
 	for rb := 2; rb <= 5; rb++ {
 		axes["pas-perfect"] = append(axes["pas-perfect"], core.Config{Scheme: core.SchemePAs, RowBits: rb, ColBits: 2})
 	}
+	// TAGE: two tiers of the default parameters (lanes sharing RowBits,
+	// RowBits 0) and a group with long histories, a one-bit second tag
+	// fold, and aging every 3 branches.
+	long := core.TAGEParams{Tables: 6, MinHist: 3, MaxHist: 200, TagBits: 2, UPeriod: 3}
+	for n := 4; n <= 5; n++ {
+		for r := 0; r <= n; r++ {
+			axes["tage"] = append(axes["tage"],
+				core.Config{Scheme: core.SchemeTAGE, RowBits: r, ColBits: n - r},
+				core.Config{Scheme: core.SchemeTAGE, RowBits: r, ColBits: n - r, TAGE: long})
+		}
+	}
 	for _, opt := range []sim.Options{{}, {Warmup: 211, Chunk: 97}} {
 		for name, configs := range axes {
 			got, err := sim.RunConfigs(configs, tr, opt)

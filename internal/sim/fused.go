@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sync"
 
 	"bpred/internal/core"
@@ -29,14 +30,29 @@ import (
 // history.Perfect). Address-indexed configurations trivially fuse: they
 // have no history at all.
 //
+// TAGE fuses on a second identity. Its tags hash the PC with per-table
+// registers folded from the global history to TagBits and TagBits-1
+// bits, and its indices with registers folded to RowBits bits; the
+// folds depend on TAGEParams and the fold width alone. So every
+// geometry sharing TAGEParams (one sweep: 56 geometries at tiers
+// 4..10) shares one tag per table per branch, and every geometry that
+// also shares RowBits (11 distinct values at tiers 4..10) shares the
+// indices. A TAGE batch keeps one core.TAGEHistory with an index
+// width per distinct RowBits, hashes each tile once, and steps each
+// lane's tables through core.TAGE.Step — the same table code
+// TAGE.Predict/Update run.
+//
 // Mask-compatibility therefore means: same scheme (same effective
-// PathBits for path; Perfect first level for PAs), 2-bit counters, and
-// no alias meter. SetAssoc/Untagged first levels are excluded — their
-// conflict behavior (ResetPrefix(width), tag geometry) depends on the
-// register width, so the lanes would not share first-level state.
+// PathBits for path; Perfect first level for PAs; same normalized
+// TAGEParams for TAGE), 2-bit counters, and no alias meter.
+// SetAssoc/Untagged first levels are excluded — their conflict
+// behavior (ResetPrefix(width), tag geometry) depends on the register
+// width, so the lanes would not share first-level state.
 // Metered configurations are excluded because the meter's per-access
-// taxonomy is per-geometry work with no shared part worth fusing; they
-// fall back to the per-config kernels, as do wider counters.
+// taxonomy is per-geometry work with no shared part worth fusing (a
+// metered TAGE also needs the taken run and its own per-entry
+// records); they fall back to the per-config kernels, as do wider
+// counters.
 //
 // Each fused lane holds one geometry's byte-per-counter table and its
 // masks; the inner loop hoists the branch decode (PC column bits, the
@@ -51,6 +67,7 @@ import (
 type fuseKey struct {
 	scheme   core.Scheme
 	pathBits int
+	tage     core.TAGEParams // normalized
 }
 
 // fuseKeyFor classifies a configuration, reporting false when it must
@@ -72,6 +89,8 @@ func fuseKeyFor(c core.Config) (fuseKey, bool) {
 		if c.FirstLevel.Kind == core.FirstLevelPerfect {
 			return fuseKey{scheme: c.Scheme}, true
 		}
+	case core.SchemeTAGE:
+		return fuseKey{scheme: c.Scheme, tage: c.TAGE.Normalized()}, true
 	}
 	return fuseKey{}, false
 }
@@ -123,6 +142,11 @@ type fusedLane struct {
 	colBits uint
 	bank    []uint8
 	miss    uint64
+
+	// TAGE lanes step their predictor's table half over the indices
+	// hashed at row width tageRows.
+	tage     *core.TAGE
+	tageRows int
 }
 
 // fusedBatch runs one group of mask-compatible geometries over the
@@ -152,6 +176,14 @@ type fusedBatch struct {
 	pcs []uint64
 	ups []uint8
 	hs  []uint64
+
+	// TAGE: the shared history, and per tile the per-table tags and,
+	// per distinct RowBits, the per-table indices (branch j's at
+	// [j*tables, (j+1)*tables)).
+	hist     *core.TAGEHistory
+	tables   int
+	tageTags []uint32
+	tageIdx  [][]uint32
 }
 
 // fusedTile is the number of branches decoded ahead of the lane loops:
@@ -161,10 +193,13 @@ type fusedBatch struct {
 const fusedTile = 1024
 
 // newFusedBatch assembles the lanes and scheme loop for one group.
-// preds must be the configurations' built predictors (all TwoLevel for
-// fusable schemes); the lanes run on their tables, and their names
-// label the metrics — the predictors' own step methods are not run.
+// preds must be the configurations' built predictors (TwoLevel, or
+// TAGE for a TAGE group); the lanes run on their tables, and their
+// names label the metrics — the predictors' own history is not run.
 func newFusedBatch(key fuseKey, idx []int, preds []core.Predictor, opt Options) *fusedBatch {
+	if key.scheme == core.SchemeTAGE {
+		return newTAGEBatch(key.tage, idx, preds, opt)
+	}
 	fb := &fusedBatch{
 		lanes: make([]fusedLane, len(idx)),
 		names: make([]string, len(idx)),
@@ -199,23 +234,66 @@ func newFusedBatch(key fuseKey, idx []int, preds []core.Predictor, opt Options) 
 	}
 	switch key.scheme {
 	case core.SchemeAddress:
-		fb.run = fb.tiled(fb.runAddress)
+		fb.run = fb.tiled(fusedTile, fb.runAddress)
 	case core.SchemeGAs:
-		fb.run = fb.tiled(fb.runGlobal)
+		fb.run = fb.tiled(fusedTile, fb.runGlobal)
 	case core.SchemeGShare:
-		fb.run = fb.tiled(fb.runGShare)
+		fb.run = fb.tiled(fusedTile, fb.runGShare)
 	case core.SchemePath:
 		fb.bpt = uint(key.pathBits)
 		fb.tgtMask = uint64(1)<<fb.bpt - 1
-		fb.run = fb.tiled(fb.runPath)
+		fb.run = fb.tiled(fusedTile, fb.runPath)
 	case core.SchemePAs:
 		fb.regs = history.NewPCMap()
-		fb.run = fb.tiled(fb.runPerfect)
+		fb.run = fb.tiled(fusedTile, fb.runPerfect)
 	default:
 		panic("sim: newFusedBatch on unfusable scheme")
 	}
 	return fb
 }
+
+// newTAGEBatch assembles a TAGE batch: one shared history with an
+// index width per distinct RowBits (in first-seen order), and a lane
+// per geometry stepping its predictor's tables.
+func newTAGEBatch(p core.TAGEParams, idx []int, preds []core.Predictor, opt Options) *fusedBatch {
+	fb := &fusedBatch{
+		lanes:  make([]fusedLane, len(idx)),
+		names:  make([]string, len(idx)),
+		idx:    idx,
+		warm:   opt.Warmup,
+		obs:    opt.Obs,
+		pcs:    make([]uint64, tageTile),
+		ups:    make([]uint8, tageTile),
+		tables: p.Tables,
+	}
+	var rows []int
+	for j, i := range idx {
+		t := preds[i].(*core.TAGE)
+		if t.Params() != p || t.Meter() != nil {
+			panic("sim: TAGE lane outside its fuse key")
+		}
+		k := slices.Index(rows, t.RowBits())
+		if k < 0 {
+			k = len(rows)
+			rows = append(rows, t.RowBits())
+			fb.tageIdx = append(fb.tageIdx, make([]uint32, tageTile*p.Tables))
+		}
+		fb.lanes[j] = fusedLane{tage: t, tageRows: k}
+		fb.names[j] = t.Name()
+	}
+	fb.hist = core.NewTAGEHistory(p, rows)
+	fb.tageTags = make([]uint32, tageTile*p.Tables)
+	fb.run = fb.tiled(tageTile, fb.runTAGE)
+	return fb
+}
+
+// tageTile is the TAGE batch's tile. A lane streams the tile's PC
+// words, outcomes, tags and its RowBits' indices (~41 KiB at four
+// tables) while probing its own tables; 1024 branches per tile
+// measured ahead of 256 and 4096. The scratch is (1 + distinct
+// RowBits) x tables x 4 KiB per batch, ~200 KiB for a whole
+// default-parameter sweep.
+const tageTile = 1024
 
 // feed processes one chunk with runner.feed's exact warmup semantics:
 // warm branches train every lane, and lane tallies reset at the warm
@@ -248,13 +326,14 @@ func (f *fusedBatch) feed(chunk []trace.Branch) {
 	f.run(chunk)
 }
 
-// tiled subdivides each chunk so the decode scratch stays L1-resident
-// across the lane loops; the scheme loops carry history state through
-// f, so splitting is invisible to them.
-func (f *fusedBatch) tiled(run func([]trace.Branch)) func([]trace.Branch) {
+// tiled subdivides each chunk into tiles of tile branches, so the
+// decode scratch stays cache-resident across the lane loops; the
+// scheme loops carry history state through f, so splitting is
+// invisible to them.
+func (f *fusedBatch) tiled(tile int, run func([]trace.Branch)) func([]trace.Branch) {
 	return func(chunk []trace.Branch) {
-		for base := 0; base < len(chunk); base += fusedTile {
-			end := base + fusedTile
+		for base := 0; base < len(chunk); base += tile {
+			end := base + tile
 			if end > len(chunk) {
 				end = len(chunk)
 			}
@@ -265,8 +344,8 @@ func (f *fusedBatch) tiled(run func([]trace.Branch)) func([]trace.Branch) {
 
 // finishInto writes each lane's Metrics to its configuration slot. The
 // non-tally fields are zero by construction: fused configurations are
-// unmetered (AliasStats zero) and the only fused first level is
-// Perfect, whose miss rate is identically 0.
+// unmetered (AliasStats zero), the only fused first level is Perfect,
+// whose miss rate is identically 0, and TAGE has no first level.
 func (f *fusedBatch) finishInto(out []Metrics) {
 	for k := range f.lanes {
 		miss := f.lanes[k].miss
@@ -623,6 +702,50 @@ func (f *fusedBatch) runPerfect(chunk []trace.Branch) {
 		regs.SetVal(slot, h<<1|u)
 	}
 	f.histLanes(pcs, hs, ups)
+}
+
+// runTAGE fuses TAGE geometries sharing TAGEParams. The history pass
+// hashes every table's tag once per branch, and its index once per
+// distinct RowBits, then advances the shared history; each lane then
+// steps its own tables over the tile with core.TAGE's table code.
+//
+//bpred:kernel
+func (f *fusedBatch) runTAGE(chunk []trace.Branch) {
+	n, tables := len(chunk), f.tables
+	pcs, ups := f.pcs[:n], f.ups[:n]
+	tags, rows := f.tageTags[:n*tables], f.tageIdx
+	h := f.hist
+	for j := range chunk {
+		b := chunk[j]
+		word := b.PC >> 2
+		pcs[j] = word
+		ups[j] = uint8(b2u64(b.Taken))
+		o := j * tables
+		h.Hash(word, rows[0][o:o+tables], tags[o:o+tables])
+		for k := 1; k < len(rows); k++ {
+			h.Indices(k, word, rows[k][o:o+tables])
+		}
+		h.Push(b.Taken)
+	}
+	for k := range f.lanes {
+		l := &f.lanes[k]
+		l.miss += laneTAGE(l.tage, pcs, ups, rows[l.tageRows][:n*tables], tags, tables)
+	}
+}
+
+// laneTAGE steps one TAGE lane over a hashed tile and returns its
+// mispredicts.
+//
+//bpred:kernel
+func laneTAGE(t *core.TAGE, pcs []uint64, ups []uint8, idx, tag []uint32, tables int) uint64 {
+	var miss uint64
+	pcs = pcs[:len(ups)]
+	for j, u := range ups {
+		o := j * tables
+		taken := u != 0
+		miss += b2u64(t.Step(pcs[j], idx[o:o+tables], tag[o:o+tables], taken) != taken)
+	}
+	return miss
 }
 
 // runFusedBatch streams the trace through one fused batch under the

@@ -14,6 +14,13 @@ import (
 // configurations (metered, wide counters, finite first levels) to
 // exercise the group/remainder split. The -large axes span 2^14..2^16
 // counters, the table sizes of the top sweep tiers.
+//
+// The TAGE axes cover the shared history's edges: a tier sweep whose
+// lanes share RowBits (RowBits 0 included); one tier, every lane its
+// own RowBits (the shape of a checkpointed sweep); and two further
+// TAGEParams that each form their own group — 640-branch histories
+// with TagBits 2 (a one-bit second tag fold) and no aging, and short
+// histories aged every 3 branches.
 func fusedAxes() map[string][]core.Config {
 	axes := map[string][]core.Config{}
 	var gshare, gas, address, path, pasPerfect []core.Config
@@ -47,6 +54,27 @@ func fusedAxes() map[string][]core.Config {
 	axes["path"] = path
 	axes["pas-perfect"] = pasPerfect
 
+	var tage, tageTier []core.Config
+	for n := 3; n <= 6; n++ {
+		for r := 0; r <= n; r++ {
+			tage = append(tage, core.Config{Scheme: core.SchemeTAGE, RowBits: r, ColBits: n - r})
+		}
+	}
+	for r := 0; r <= 7; r++ {
+		tageTier = append(tageTier, core.Config{Scheme: core.SchemeTAGE, RowBits: r, ColBits: 7 - r})
+	}
+	long := core.TAGEParams{Tables: 8, MinHist: 5, MaxHist: 640, TagBits: 2, UPeriod: -1}
+	aged := core.TAGEParams{Tables: 3, MinHist: 2, MaxHist: 24, TagBits: 6, UPeriod: 3}
+	var tageParams []core.Config
+	for _, g := range [][2]int{{5, 4}, {0, 6}, {5, 2}, {3, 3}} {
+		tageParams = append(tageParams,
+			core.Config{Scheme: core.SchemeTAGE, RowBits: g[0], ColBits: g[1], TAGE: long},
+			core.Config{Scheme: core.SchemeTAGE, RowBits: g[0], ColBits: g[1] + 1, TAGE: aged})
+	}
+	axes["tage"] = tage
+	axes["tage-tier"] = tageTier
+	axes["tage-params"] = tageParams
+
 	mixed := []core.Config{
 		{Scheme: core.SchemeGShare, RowBits: 8, ColBits: 2, Metered: true},
 		{Scheme: core.SchemeGAs, RowBits: 6, ColBits: 3, CounterBits: 3},
@@ -55,16 +83,22 @@ func fusedAxes() map[string][]core.Config {
 		{Scheme: core.SchemePAs, RowBits: 5, ColBits: 2,
 			FirstLevel: core.FirstLevel{Kind: core.FirstLevelUntagged, Entries: 128}},
 		{Scheme: core.SchemeGShare, RowBits: 5, ColBits: 2, CounterBits: 1},
+		// A metered TAGE beside unmetered ones with its parameters.
+		{Scheme: core.SchemeTAGE, RowBits: 4, ColBits: 4, Metered: true},
+		{Scheme: core.SchemeTAGE, RowBits: 4, ColBits: 4},
+		{Scheme: core.SchemeTAGE, RowBits: 3, ColBits: 5},
 	}
 	mixed = append(mixed, gshare...)
 	mixed = append(mixed, pasPerfect...)
 	mixed = append(mixed, core.Config{Scheme: core.SchemeAddress, ColBits: 9}) // singleton group -> remainder
 	axes["mixed"] = mixed
 
-	// Modern schemes are never fusable (fuseKeyFor declines them), so
-	// this axis pins the per-config remainder path — and, via the
-	// stream tests, BPT2/BPT1 streamed execution — for the tagged,
-	// perceptron, and tournament kernels, metered and not.
+	// Every configuration here runs per-config — the perceptron and
+	// the tournament are never fusable, and the two TAGEs differ in
+	// parameters (and one is metered) — so this axis pins the
+	// per-config remainder path — and, via the stream tests, BPT2/BPT1
+	// streamed execution — for the tagged, perceptron, and tournament
+	// kernels, metered and not.
 	axes["modern"] = []core.Config{
 		{Scheme: core.SchemeTAGE, RowBits: 6, ColBits: 7},
 		{Scheme: core.SchemeTAGE, RowBits: 5, ColBits: 6, Metered: true,
@@ -142,13 +176,17 @@ func TestFuseGroups(t *testing.T) {
 		{Scheme: core.SchemePAs, RowBits: 5, ColBits: 2},                   // 8: PAs-perfect group
 		{Scheme: core.SchemePAs, RowBits: 5, ColBits: 2,
 			FirstLevel: core.FirstLevel{Kind: core.FirstLevelSetAssoc, Entries: 128, Ways: 4}}, // 9: rest
-		{Scheme: core.SchemeGAs, RowBits: 6, ColBits: 2, CounterBits: 3}, // 10: wide counters -> rest
+		{Scheme: core.SchemeGAs, RowBits: 6, ColBits: 2, CounterBits: 3},                    // 10: wide counters -> rest
+		{Scheme: core.SchemeTAGE, RowBits: 4, ColBits: 3},                                   // 11: TAGE default group
+		{Scheme: core.SchemeTAGE, RowBits: 4, ColBits: 4, Metered: true},                    // 12: metered -> rest
+		{Scheme: core.SchemeTAGE, RowBits: 2, ColBits: 5, TAGE: core.DefaultTAGE},           // 13: TAGE default group (normalized key)
+		{Scheme: core.SchemeTAGE, RowBits: 2, ColBits: 5, TAGE: core.TAGEParams{Tables: 3}}, // 14: own params, singleton -> rest
 	}
 	groups, rest := fuseGroups(configs)
-	if len(groups) != 3 {
-		t.Fatalf("got %d fuse groups, want 3 (gshare, path2, pas-perfect): %+v", len(groups), groups)
+	if len(groups) != 4 {
+		t.Fatalf("got %d fuse groups, want 4 (gshare, path2, pas-perfect, tage): %+v", len(groups), groups)
 	}
-	wantGroups := [][]int{{0, 1}, {4, 5}, {7, 8}}
+	wantGroups := [][]int{{0, 1}, {4, 5}, {7, 8}, {11, 13}}
 	for g, want := range wantGroups {
 		got := groups[g].idx
 		if len(got) != len(want) {
@@ -160,7 +198,7 @@ func TestFuseGroups(t *testing.T) {
 			}
 		}
 	}
-	wantRest := map[int]bool{2: true, 3: true, 6: true, 9: true, 10: true}
+	wantRest := map[int]bool{2: true, 3: true, 6: true, 9: true, 10: true, 12: true, 14: true}
 	if len(rest) != len(wantRest) {
 		t.Fatalf("rest = %v, want indices %v", rest, wantRest)
 	}

@@ -11,7 +11,8 @@ import (
 // Predict/Update path enforced by kernel_test.go and the refmodel
 // differential harness. TAGE and the tournament have no kernel of
 // their own: measured against genericKernel, theirs lost, so kernelFor
-// routes them to the generic loop.
+// routes them to the generic loop. Unmetered TAGE geometries that
+// share parameters fuse instead (fused.go).
 
 // perceptronKernel is the SchemePerceptron fast path: the weight
 // table, clamp bounds, and history register are hoisted; the dot

@@ -17,10 +17,17 @@ import (
 // length. Metrics are bit-identical to RunConfigsCtx over the decoded
 // trace — chunking does not affect results (the metamorphic suite
 // pins this), and the per-config runners here are the same ones the
-// in-memory unfused path uses. Config-parallel fusion does not apply:
-// fusion re-orders the trace walk around lane tiles, which would need
-// the whole trace; the streaming path instead parallelizes across
-// configs within each chunk.
+// in-memory unfused path uses.
+//
+// The streaming path does not fuse yet, for a measured reason, not a
+// structural one: fusedBatch.feed already works chunk by chunk. On
+// 6M-branch tier-4 runs (2-CPU Xeon), fused batches behind this
+// path's per-chunk barrier took 354–450 ms against 320–392 ms
+// per-config, no gain; with a 4-slot decode-ahead ring they took
+// 160–200 ms against 300–480 ms. Both are decode-bound —
+// binary.Varint is about half of BPT2 decode CPU — so fusion here
+// waits on a decoder that keeps up (ROADMAP item 1). Until then the
+// streaming path parallelizes across configs within each chunk.
 //
 // Cancellation is checked at chunk boundaries only (kernels stay
 // pure). On cancellation every returned entry is zero — a single
