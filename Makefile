@@ -112,8 +112,8 @@ cover:
 		{ echo "coverage $$total% below floor $(COVER_FLOOR)%"; exit 1; }
 
 # fuzz-smoke gives each fuzz target a short budget — enough to catch
-# shallow decoder regressions on every CI run without open-ended fuzz
-# time.
+# shallow decoder regressions and kernel or fused-executor divergence
+# on every CI run without open-ended fuzz time.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzReader$$' -fuzztime 10s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz 'FuzzRoundTrip$$' -fuzztime 10s ./internal/trace/
@@ -128,6 +128,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDiffPerceptron -fuzztime 10s ./internal/refmodel/diff/
 	$(GO) test -run '^$$' -fuzz FuzzDiffTournament -fuzztime 10s ./internal/refmodel/diff/
 	$(GO) test -run '^$$' -fuzz FuzzFusedEquivalence -fuzztime 10s ./internal/sim/
+	$(GO) test -run '^$$' -fuzz FuzzKernelEquivalence -fuzztime 10s ./internal/sim/
 
 # diff-fuzz differentially fuzzes every scheme family against the
 # independent reference model (internal/refmodel): random traces,

@@ -130,10 +130,14 @@ func TestChaosCoordinatorRestart(t *testing.T) {
 		// nil is possible when the fleet outran the partition.
 		t.Fatalf("interrupted RunCells: %v", err)
 	}
-	completed1 := coord1.Counters().Snapshot().ConfigsCompleted
+	// Read the first incarnation's count only after Stop: a completion
+	// already past the link's partition check can still be accepted
+	// until then, and Stop flushes its cells to the ledger, where the
+	// second incarnation finds them settled.
 	if err := coord1.Stop(); err != nil {
 		t.Fatalf("stopping first coordinator: %v", err)
 	}
+	completed1 := coord1.Counters().Snapshot().ConfigsCompleted
 
 	// "Restart": a fresh coordinator over the same ledger directory.
 	coord2 := NewCoordinator(Config{Dir: dir, ChunkCells: 2})

@@ -49,20 +49,6 @@ func TestRunTraceCtxPreCanceled(t *testing.T) {
 	}
 }
 
-func TestRunCtxPreCanceled(t *testing.T) {
-	tr := kernelTrace(8, 10_000)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-
-	m, err := RunCtx(ctx, core.NewGShare(9, 2), tr.NewSource(), Options{})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if m.Branches != 0 {
-		t.Errorf("pre-canceled run scored %d branches, want 0", m.Branches)
-	}
-}
-
 // TestRunTraceCtxCancelLatency cancels mid-run and checks the latency
 // bound: the run returns within one chunk of the cancellation point,
 // with the partial tally covering exactly the chunks fed before the
@@ -91,28 +77,6 @@ func TestRunTraceCtxCancelLatency(t *testing.T) {
 	}
 	if m.Branches%chunk != 0 {
 		t.Errorf("scored %d branches, not a whole number of %d-branch chunks", m.Branches, chunk)
-	}
-}
-
-// TestRunCtxCancelLatency checks the same latency bound on the
-// generic source-driven loop.
-func TestRunCtxCancelLatency(t *testing.T) {
-	const (
-		total       = 50_000
-		chunk       = 512
-		cancelPoint = 10_000
-	)
-	tr := kernelTrace(10, total)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	p := &cancelAfter{Predictor: core.NewGShare(9, 2), remaining: cancelPoint, cancel: cancel}
-
-	m, err := RunCtx(ctx, p, tr.NewSource(), Options{Chunk: chunk})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if m.Branches < cancelPoint || m.Branches >= cancelPoint+chunk {
-		t.Errorf("scored %d branches, want in [%d, %d)", m.Branches, cancelPoint, cancelPoint+chunk)
 	}
 }
 
@@ -229,19 +193,5 @@ func TestRunConfigsCtxPreCanceled(t *testing.T) {
 	}
 	if len(out) != len(configs) {
 		t.Fatalf("len(out) = %d, want %d", len(out), len(configs))
-	}
-}
-
-func TestRunBatchedCtxPreCanceled(t *testing.T) {
-	tr := kernelTrace(15, 5_000)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-
-	m, err := RunBatchedCtx(ctx, core.NewGAs(7, 3), tr.NewSource(), Options{})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if m.Branches != 0 {
-		t.Errorf("pre-canceled run scored %d branches, want 0", m.Branches)
 	}
 }

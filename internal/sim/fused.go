@@ -27,8 +27,9 @@ import (
 // registers (shift-in of bitsPerTarget target bits, for configurations
 // agreeing on bitsPerTarget) and the Perfect per-address table (which
 // stores unmasked outcome streams and masks on read, see
-// history.Perfect). Address-indexed configurations trivially fuse: they
-// have no history at all.
+// history.Perfect). Address-indexed configurations are history lanes
+// whose row mask is 0: the shared register stays 0, and the lane index
+// reduces to the column bits.
 //
 // TAGE fuses on a second identity. Its tags hash the PC with per-table
 // registers folded from the global history to TagBits and TagBits-1
@@ -233,9 +234,7 @@ func newFusedBatch(key fuseKey, idx []int, preds []core.Predictor, opt Options) 
 		fb.names[j] = t.Name()
 	}
 	switch key.scheme {
-	case core.SchemeAddress:
-		fb.run = fb.tiled(fusedTile, fb.runAddress)
-	case core.SchemeGAs:
+	case core.SchemeAddress, core.SchemeGAs:
 		fb.run = fb.tiled(fusedTile, fb.runGlobal)
 	case core.SchemeGShare:
 		fb.run = fb.tiled(fusedTile, fb.runGShare)
@@ -305,21 +304,13 @@ func (f *fusedBatch) feed(chunk []trace.Branch) {
 			f.obs.AddChunk(uint64(len(chunk)))
 		}
 	}
-	if f.warm > 0 {
-		n := f.warm
-		if n > len(chunk) {
-			n = len(chunk)
-		}
-		f.run(chunk[:n])
-		f.warm -= n
+	warm, chunk := splitWarm(&f.warm, chunk)
+	if len(warm) > 0 {
+		f.run(warm)
 		if f.warm == 0 {
 			for k := range f.lanes {
 				f.lanes[k].miss = 0
 			}
-		}
-		chunk = chunk[n:]
-		if len(chunk) == 0 {
-			return
 		}
 	}
 	f.scored += uint64(len(chunk))
@@ -376,50 +367,6 @@ var ctrStep = [256]uint16{
 	0b01<<1 | 0: 0 | 0<<8, 0b01<<1 | 1: 2 | 1<<8,
 	0b10<<1 | 0: 1 | 1<<8, 0b10<<1 | 1: 3 | 0<<8,
 	0b11<<1 | 0: 2 | 1<<8, 0b11<<1 | 1: 3 | 0<<8,
-}
-
-// laneAddress2 runs two address lanes in one pass over the decoded
-// tile (see laneGShare2).
-//
-//bpred:kernel
-func laneAddress2(l0, l1 *fusedLane, pcs []uint64, ups []uint8) {
-	bank0, bank1 := l0.bank, l1.bank
-	colMask0, colMask1 := l0.colMask, l1.colMask
-	miss0, miss1 := l0.miss, l1.miss
-	pcs = pcs[:len(ups)]
-	for j := range ups {
-		u := ups[j]
-		pc2 := pcs[j]
-		idx0 := pc2 & colMask0
-		idx1 := pc2 & colMask1
-		t0 := ctrStep[bank0[idx0]<<1|u]
-		t1 := ctrStep[bank1[idx1]<<1|u]
-		bank0[idx0] = uint8(t0)
-		bank1[idx1] = uint8(t1)
-		miss0 += uint64(t0 >> 8)
-		miss1 += uint64(t1 >> 8)
-	}
-	l0.miss = miss0
-	l1.miss = miss1
-}
-
-// laneAddress streams one decoded tile through an address-indexed
-// lane (no history; lanes differ only in column mask).
-//
-//bpred:kernel
-func laneAddress(l *fusedLane, pcs []uint64, ups []uint8) {
-	bank := l.bank
-	colMask := l.colMask
-	miss := l.miss
-	pcs = pcs[:len(ups)]
-	for j := range ups {
-		u := ups[j]
-		idx := pcs[j] & colMask
-		t := ctrStep[bank[idx]<<1|u]
-		bank[idx] = uint8(t)
-		miss += uint64(t >> 8)
-	}
-	l.miss = miss
 }
 
 // laneHist2 runs two history lanes in one pass over the decoded
@@ -586,43 +533,12 @@ func (f *fusedBatch) histLanes(pcs, hs []uint64, ups []uint8) {
 	}
 }
 
-// runAddress fuses address-indexed geometries.
-//
-//bpred:kernel
-func (f *fusedBatch) runAddress(chunk []trace.Branch) {
-	n := len(chunk)
-	pcs, ups := f.pcs[:n], f.ups[:n]
-	for i := range chunk {
-		b := chunk[i]
-		pcs[i] = b.PC >> 2
-		ups[i] = uint8(b2u64(b.Taken))
-	}
-	lanes := f.lanes
-	for len(lanes) >= 2 {
-		laneAddress2(&lanes[0], &lanes[1], pcs, ups)
-		lanes = lanes[2:]
-	}
-	if len(lanes) == 1 {
-		laneAddress(&lanes[0], pcs, ups)
-	}
-}
-
-// runGlobal fuses GAg/GAs geometries over one wide global register.
+// runGlobal fuses address and GAg/GAs geometries over one wide global
+// register (0 bits wide when every lane is address-indexed).
 //
 //bpred:kernel
 func (f *fusedBatch) runGlobal(chunk []trace.Branch) {
-	n := len(chunk)
-	pcs, ups, hs := f.pcs[:n], f.ups[:n], f.hs[:n]
-	val, wideMask := f.val, f.wideMask
-	for i := range chunk {
-		b := chunk[i]
-		pcs[i] = b.PC >> 2
-		u := b2u64(b.Taken)
-		ups[i] = uint8(u)
-		hs[i] = val
-		val = (val<<1 | u) & wideMask
-	}
-	f.val = val
+	pcs, hs, ups := f.decodeGlobal(chunk)
 	f.histLanes(pcs, hs, ups)
 }
 
@@ -631,18 +547,7 @@ func (f *fusedBatch) runGlobal(chunk []trace.Branch) {
 //
 //bpred:kernel
 func (f *fusedBatch) runGShare(chunk []trace.Branch) {
-	n := len(chunk)
-	pcs, ups, hs := f.pcs[:n], f.ups[:n], f.hs[:n]
-	val, wideMask := f.val, f.wideMask
-	for i := range chunk {
-		b := chunk[i]
-		pcs[i] = b.PC >> 2
-		u := b2u64(b.Taken)
-		ups[i] = uint8(u)
-		hs[i] = val
-		val = (val<<1 | u) & wideMask
-	}
-	f.val = val
+	pcs, hs, ups := f.decodeGlobal(chunk)
 	lanes := f.lanes
 	for len(lanes) >= 4 {
 		laneGShare4(&lanes[0], &lanes[1], &lanes[2], &lanes[3], pcs, hs, ups)
@@ -655,6 +560,27 @@ func (f *fusedBatch) runGShare(chunk []trace.Branch) {
 	if len(lanes) == 1 {
 		laneGShare(&lanes[0], pcs, hs, ups)
 	}
+}
+
+// decodeGlobal is the global-history decode pass: it writes each
+// branch's PC word, outcome bit and the wide register value before
+// the branch into the tile scratch, advancing the shared register.
+//
+//bpred:kernel
+func (f *fusedBatch) decodeGlobal(chunk []trace.Branch) (pcs, hs []uint64, ups []uint8) {
+	n := len(chunk)
+	pcs, ups, hs = f.pcs[:n], f.ups[:n], f.hs[:n]
+	val, wideMask := f.val, f.wideMask
+	for i := range chunk {
+		b := chunk[i]
+		pcs[i] = b.PC >> 2
+		u := b2u64(b.Taken)
+		ups[i] = uint8(u)
+		hs[i] = val
+		val = (val<<1 | u) & wideMask
+	}
+	f.val = val
+	return pcs, hs, ups
 }
 
 // runPath fuses path geometries sharing bitsPerTarget over one wide
@@ -748,65 +674,33 @@ func laneTAGE(t *core.TAGE, pcs []uint64, ups []uint8, idx, tag []uint32, tables
 	return miss
 }
 
-// runFusedBatch streams the trace through one fused batch under the
-// standard chunk-boundary cancellation contract; it reports false
-// without touching out when canceled mid-stream.
-func runFusedBatch(ctx context.Context, fb *fusedBatch, branches []trace.Branch, opt Options, out []Metrics) bool {
-	step := chunkLen(opt)
-	done := ctx.Done()
-	for off := 0; off < len(branches); off += step {
-		if done != nil {
-			select {
-			case <-done:
-				return false
-			default:
-			}
-		}
-		end := off + step
-		if end > len(branches) {
-			end = len(branches)
-		}
-		fb.feed(branches[off:end])
-	}
-	fb.finishInto(out)
-	return true
-}
-
-// runFused runs the fuse groups config-parallel and the remainder on
-// the per-config batched kernels (RunConfigsCtx's fused half). preds
-// are the built configurations; results keep the per-config path's
-// partial-result contract at batch granularity on cancellation.
-func runFused(ctx context.Context, groups []fuseGroup, rest []int, preds []core.Predictor, t *trace.Trace, opt Options) ([]Metrics, error) {
+// execute is the one in-memory executor. It runs each fuse group
+// config-parallel and the remainder (the indices in rest) on the
+// per-config batched kernels; preds are the built predictors, indexed
+// like the returned slice. Each group, and the remainder, is carved
+// into strided tasks sized by its share of the total count, so all
+// workers stay busy and heavy geometries spread across tasks; with no
+// groups that is min(GOMAXPROCS, len(preds)) batches. Each task owns
+// a disjoint set of result slots and writes them only when it runs to
+// completion, which is the partial-result contract of
+// RunPredictorsCtx.
+func execute(ctx context.Context, groups []fuseGroup, rest []int, preds []core.Predictor, t *trace.Trace, opt Options) ([]Metrics, error) {
 	out := make([]Metrics, len(preds))
 	workers := runtime.GOMAXPROCS(0)
-
-	// Carve each group (and the per-config remainder) into strided
-	// sub-batches sized by its share of the total config count, so all
-	// workers stay busy and heavy geometries spread across tasks. Each
-	// task owns a disjoint set of out slots.
 	var tasks []func()
 	for _, g := range groups {
 		for _, sub := range strideSplit(g.idx, taskShare(workers, len(g.idx), len(preds))) {
 			fb := newFusedBatch(g.key, sub, preds, opt)
 			tasks = append(tasks, func() {
-				runFusedBatch(ctx, fb, t.Branches, opt, out)
+				if eachChunk(ctx, t.Branches, opt, fb.feed) {
+					fb.finishInto(out)
+				}
 			})
 		}
 	}
 	for _, sub := range strideSplit(rest, taskShare(workers, len(rest), len(preds))) {
-		sub := sub
 		tasks = append(tasks, func() {
-			batch := make([]core.Predictor, len(sub))
-			for j, i := range sub {
-				batch[j] = preds[i]
-			}
-			res := make([]Metrics, len(batch))
-			if !runBatch(ctx, batch, t.Branches, opt, res) {
-				return // canceled: leave this batch's entries zero
-			}
-			for j, i := range sub {
-				out[i] = res[j]
-			}
+			runBatch(ctx, preds, sub, t.Branches, opt, out)
 		})
 	}
 	if len(tasks) == 1 {
@@ -815,17 +709,35 @@ func runFused(ctx context.Context, groups []fuseGroup, rest []int, preds []core.
 		var wg sync.WaitGroup
 		for _, task := range tasks {
 			wg.Add(1)
-			go func(task func()) {
+			go func() {
 				defer wg.Done()
 				task()
-			}(task)
+			}()
 		}
 		wg.Wait()
 	}
-	if err := ctx.Err(); err != nil {
-		return out, err
+	return out, ctx.Err()
+}
+
+// runBatch simulates the predictors preds[i], i in idx, over one
+// branch stream chunk by chunk, replaying each chunk through every
+// predictor before the next. It writes out[i] only when the stream
+// runs to completion; a cancel leaves the batch's entries zero.
+func runBatch(ctx context.Context, preds []core.Predictor, idx []int, branches []trace.Branch, opt Options, out []Metrics) {
+	rs := make([]runner, len(idx))
+	for j, i := range idx {
+		rs[j] = newRunner(preds[i], opt)
 	}
-	return out, nil
+	if !eachChunk(ctx, branches, opt, func(chunk []trace.Branch) {
+		for j := range rs {
+			rs[j].feed(chunk)
+		}
+	}) {
+		return
+	}
+	for j, i := range idx {
+		out[i] = rs[j].finish()
+	}
 }
 
 // taskShare apportions worker slots to a group of n configurations out
@@ -845,8 +757,8 @@ func taskShare(workers, n, total int) int {
 }
 
 // strideSplit partitions idx into n strided sub-slices (w, w+n, ...),
-// the same small-to-large spreading as RunPredictorsCtx's worker
-// assignment.
+// so that sweeps enumerated small-to-large spread their heavy
+// configurations across workers.
 func strideSplit(idx []int, n int) [][]int {
 	if n <= 0 {
 		return nil

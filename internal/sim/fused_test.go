@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 
 	"bpred/internal/core"
@@ -289,10 +290,9 @@ func FuzzFusedEquivalence(f *testing.F) {
 	})
 }
 
-// TestFusedSingleThreaded pins GOMAXPROCS-independence: the fused path
-// must partition and produce identical results regardless of worker
-// count (exercised here with a sequential-looking tiny axis and the
-// trace source interface untouched).
+// TestFusedSingleConfigFallsBack: a one-configuration axis forms no
+// fuse group, runs on its per-config kernel, and matches the
+// reference loop.
 func TestFusedSingleConfigFallsBack(t *testing.T) {
 	tr := kernelTrace(24, 5_000)
 	configs := []core.Config{{Scheme: core.SchemeGShare, RowBits: 8, ColBits: 2}}
@@ -303,5 +303,46 @@ func TestFusedSingleConfigFallsBack(t *testing.T) {
 	want := Run(configs[0].MustBuild(), tr.NewSource(), Options{Warmup: 100})
 	if got[0] != want {
 		t.Errorf("singleton axis diverges: got %+v, want %+v", got[0], want)
+	}
+}
+
+// TestGOMAXPROCSIndependence pins results against the worker count.
+// Every in-memory entry point shares one task carver, and its split
+// depends on GOMAXPROCS; the mixed and tage axes through RunConfigs
+// and the mixed axis through RunPredictors must come out identical at
+// 1, 2, 3 and 7 workers.
+func TestGOMAXPROCSIndependence(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	tr := kernelTrace(25, 12_007)
+	opt := Options{Warmup: 301, Chunk: 1000}
+	axes := fusedAxes()
+	var want map[string][]Metrics
+	for _, procs := range []int{1, 2, 3, 7} {
+		runtime.GOMAXPROCS(procs)
+		got := map[string][]Metrics{}
+		for _, name := range []string{"mixed", "tage"} {
+			ms, err := RunConfigs(axes[name], tr, opt)
+			if err != nil {
+				t.Fatalf("GOMAXPROCS %d: RunConfigs %s: %v", procs, name, err)
+			}
+			got["RunConfigs/"+name] = ms
+		}
+		preds, err := buildConfigs(axes["mixed"], opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got["RunPredictors/mixed"] = RunPredictors(preds, tr, opt)
+		if want == nil {
+			want = got
+			continue
+		}
+		for key, ms := range got {
+			for i := range ms {
+				if ms[i] != want[key][i] || ms[i].Name == "" {
+					t.Errorf("GOMAXPROCS %d: %s entry %d = %+v, want %+v (GOMAXPROCS 1)",
+						procs, key, i, ms[i], want[key][i])
+				}
+			}
+		}
 	}
 }

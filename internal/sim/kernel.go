@@ -9,12 +9,16 @@ import (
 )
 
 // This file is the batched fast path: monomorphic per-scheme kernels
-// that run a fused predict+train+meter loop over a chunk of branches
-// with zero interface calls and zero per-branch allocations. The
-// generic Run loop in sim.go stays as the reference implementation;
-// kernels are required to be bit-identical to it on every scheme
-// (enforced by kernel_test.go), and predictors without a kernel — any
-// non-TwoLevel Predictor, or a TwoLevel over a custom RowSelector or
+// that run a predict+train loop over a chunk of branches with zero
+// interface calls and zero per-branch allocations. A scheme has at
+// most two loops: one specialized to unmetered 2-bit counters, and one
+// general loop for every counter width that also records into the
+// alias meter when one is attached (a per-branch nil check whose
+// outcome is fixed for the whole run). The generic Run loop in sim.go
+// stays as the reference implementation; kernels are required to be
+// bit-identical to it on every scheme (enforced by kernel_test.go),
+// and predictors without a kernel — TAGE, the tournament, any
+// third-party Predictor, or a TwoLevel over a custom RowSelector or
 // custom first-level table — transparently use a generic chunk loop
 // that preserves the exact interface-call semantics.
 //
@@ -137,27 +141,15 @@ func zeroKernel(tab *counter.Table, meter *core.AliasMeter) kernelFunc {
 			return miss
 		}
 	}
-	if meter != nil {
-		return func(chunk []trace.Branch) uint64 {
-			var miss uint64
-			for i := range chunk {
-				b := chunk[i]
-				idx := int((b.PC >> 2) & colMask)
-				s := state[idx]
-				meter.Record(idx, b.PC, b.Taken, false)
-				up := b2u8(b.Taken)
-				state[idx] = s + up&b2u8(s < max) - (1-up)&b2u8(s > 0)
-				miss += b2u64((s >= thresh) != b.Taken)
-			}
-			return miss
-		}
-	}
 	return func(chunk []trace.Branch) uint64 {
 		var miss uint64
 		for i := range chunk {
 			b := chunk[i]
 			idx := int((b.PC >> 2) & colMask)
 			s := state[idx]
+			if meter != nil {
+				meter.Record(idx, b.PC, b.Taken, false)
+			}
 			up := b2u8(b.Taken)
 			state[idx] = s + up&b2u8(s < max) - (1-up)&b2u8(s > 0)
 			miss += b2u64((s >= thresh) != b.Taken)
@@ -192,24 +184,6 @@ func globalKernel(tab *counter.Table, meter *core.AliasMeter, reg *history.Shift
 			return miss
 		}
 	}
-	if meter != nil {
-		return func(chunk []trace.Branch) uint64 {
-			var miss uint64
-			val := reg.Value()
-			for i := range chunk {
-				b := chunk[i]
-				idx := int((val&rowMask)<<colBits | (b.PC>>2)&colMask)
-				s := state[idx]
-				meter.Record(idx, b.PC, b.Taken, val == regMask)
-				up := b2u8(b.Taken)
-				state[idx] = s + up&b2u8(s < max) - (1-up)&b2u8(s > 0)
-				val = (val<<1 | uint64(up)) & regMask
-				miss += b2u64((s >= thresh) != b.Taken)
-			}
-			reg.Set(val)
-			return miss
-		}
-	}
 	return func(chunk []trace.Branch) uint64 {
 		var miss uint64
 		val := reg.Value()
@@ -217,6 +191,9 @@ func globalKernel(tab *counter.Table, meter *core.AliasMeter, reg *history.Shift
 			b := chunk[i]
 			idx := int((val&rowMask)<<colBits | (b.PC>>2)&colMask)
 			s := state[idx]
+			if meter != nil {
+				meter.Record(idx, b.PC, b.Taken, val == regMask)
+			}
 			up := b2u8(b.Taken)
 			state[idx] = s + up&b2u8(s < max) - (1-up)&b2u8(s > 0)
 			val = (val<<1 | uint64(up)) & regMask
@@ -258,25 +235,6 @@ func gshareKernel(tab *counter.Table, meter *core.AliasMeter, reg *history.Shift
 			return miss
 		}
 	}
-	if meter != nil {
-		return func(chunk []trace.Branch) uint64 {
-			var miss uint64
-			val := reg.Value()
-			for i := range chunk {
-				b := chunk[i]
-				row := (val ^ (b.PC >> shift)) & rowMask
-				idx := int(row<<colShift | (b.PC>>2)&colMask)
-				s := state[idx]
-				meter.Record(idx, b.PC, b.Taken, val == regMask)
-				up := b2u8(b.Taken)
-				state[idx] = s + up&b2u8(s < max) - (1-up)&b2u8(s > 0)
-				val = (val<<1 | uint64(up)) & regMask
-				miss += b2u64((s >= thresh) != b.Taken)
-			}
-			reg.Set(val)
-			return miss
-		}
-	}
 	return func(chunk []trace.Branch) uint64 {
 		var miss uint64
 		val := reg.Value()
@@ -285,6 +243,9 @@ func gshareKernel(tab *counter.Table, meter *core.AliasMeter, reg *history.Shift
 			row := (val ^ (b.PC >> shift)) & rowMask
 			idx := int(row<<colShift | (b.PC>>2)&colMask)
 			s := state[idx]
+			if meter != nil {
+				meter.Record(idx, b.PC, b.Taken, val == regMask)
+			}
 			up := b2u8(b.Taken)
 			state[idx] = s + up&b2u8(s < max) - (1-up)&b2u8(s > 0)
 			val = (val<<1 | uint64(up)) & regMask
@@ -327,28 +288,6 @@ func pathKernel(tab *counter.Table, meter *core.AliasMeter, reg *history.PathReg
 			return miss
 		}
 	}
-	if meter != nil {
-		return func(chunk []trace.Branch) uint64 {
-			var miss uint64
-			val := reg.Value()
-			for i := range chunk {
-				b := chunk[i]
-				idx := int((val&rowMask)<<colBits | (b.PC>>2)&colMask)
-				s := state[idx]
-				meter.Record(idx, b.PC, b.Taken, false)
-				up := b2u8(b.Taken)
-				state[idx] = s + up&b2u8(s < max) - (1-up)&b2u8(s > 0)
-				next := b.PC + 4
-				if b.Taken {
-					next = b.Target
-				}
-				val = (val<<bpt | (next>>2)&tgtMask) & regMask
-				miss += b2u64((s >= thresh) != b.Taken)
-			}
-			reg.Set(val)
-			return miss
-		}
-	}
 	return func(chunk []trace.Branch) uint64 {
 		var miss uint64
 		val := reg.Value()
@@ -356,6 +295,9 @@ func pathKernel(tab *counter.Table, meter *core.AliasMeter, reg *history.PathReg
 			b := chunk[i]
 			idx := int((val&rowMask)<<colBits | (b.PC>>2)&colMask)
 			s := state[idx]
+			if meter != nil {
+				meter.Record(idx, b.PC, b.Taken, false)
+			}
 			up := b2u8(b.Taken)
 			state[idx] = s + up&b2u8(s < max) - (1-up)&b2u8(s > 0)
 			next := b.PC + 4
@@ -472,20 +414,23 @@ func (r *runner) feed(chunk []trace.Branch) {
 	if r.obs != nil {
 		r.obs.AddChunk(uint64(len(chunk)))
 	}
-	if r.warm > 0 {
-		n := r.warm
-		if n > len(chunk) {
-			n = len(chunk)
-		}
-		r.k(chunk[:n])
-		r.warm -= n
-		chunk = chunk[n:]
-		if len(chunk) == 0 {
-			return
-		}
+	warm, chunk := splitWarm(&r.warm, chunk)
+	if len(warm) > 0 {
+		r.k(warm)
 	}
-	r.m.Branches += uint64(len(chunk))
-	r.m.Mispredicts += r.k(chunk)
+	if len(chunk) > 0 {
+		r.m.Branches += uint64(len(chunk))
+		r.m.Mispredicts += r.k(chunk)
+	}
+}
+
+// splitWarm splits chunk at the warmup boundary: warm is the prefix
+// that trains without being scored (at most *left branches, counted
+// off *left), scored the rest.
+func splitWarm(left *int, chunk []trace.Branch) (warm, scored []trace.Branch) {
+	n := min(*left, len(chunk))
+	*left -= n
+	return chunk[:n], chunk[n:]
 }
 
 // finish assembles the final Metrics, mirroring the reference loop's
@@ -493,12 +438,7 @@ func (r *runner) feed(chunk []trace.Branch) {
 func (r *runner) finish() Metrics {
 	m := r.m
 	m.Name = r.p.Name()
-	if ar, ok := r.p.(core.AliasReporter); ok {
-		m.Alias = ar.AliasStats()
-	}
-	if fr, ok := r.p.(core.FirstLevelReporter); ok {
-		m.FirstLevelMissRate = fr.FirstLevelMissRate()
-	}
+	finishMetrics(&m, r.p)
 	return m
 }
 

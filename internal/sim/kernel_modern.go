@@ -27,37 +27,6 @@ func perceptronKernel(t *core.Perceptron) kernelFunc {
 	theta := t.Threshold()
 	wmin, wmax := t.WeightRange()
 	meter := t.Meter()
-	if meter != nil {
-		return func(chunk []trace.Branch) uint64 {
-			var miss uint64
-			val := t.Hist()
-			for i := range chunk {
-				b := chunk[i]
-				idx := int((b.PC >> 2) & colMask)
-				base := idx * stride
-				y := int64(weights[base])
-				h := val
-				for k := 0; k < hl; k++ {
-					sign := int64(h&1)<<1 - 1
-					y += sign * int64(weights[base+1+k])
-					h >>= 1
-				}
-				pred := y >= 0
-				meter.Record(idx, b.PC, b.Taken, val == histMask)
-				mag := y
-				if mag < 0 {
-					mag = -mag
-				}
-				if pred != b.Taken || mag <= theta {
-					trainPerceptron(weights[base:base+stride], val, b.Taken, wmin, wmax)
-				}
-				val = (val<<1 | uint64(b2u8(b.Taken))) & histMask
-				miss += b2u64(pred != b.Taken)
-			}
-			t.SetHist(val)
-			return miss
-		}
-	}
 	return func(chunk []trace.Branch) uint64 {
 		var miss uint64
 		val := t.Hist()
@@ -73,6 +42,9 @@ func perceptronKernel(t *core.Perceptron) kernelFunc {
 				h >>= 1
 			}
 			pred := y >= 0
+			if meter != nil {
+				meter.Record(idx, b.PC, b.Taken, val == histMask)
+			}
 			mag := y
 			if mag < 0 {
 				mag = -mag
@@ -89,8 +61,8 @@ func perceptronKernel(t *core.Perceptron) kernelFunc {
 }
 
 // trainPerceptron applies the clamped weight update to one vector
-// (bias first). Kept out of line so both kernel closures share it;
-// the slice header is computed from an already-masked index.
+// (bias first). Kept out of line, off the kernel loop's common
+// path; the slice header is computed from an already-masked index.
 //
 //bpred:kernel
 func trainPerceptron(vec []int32, hist uint64, taken bool, wmin, wmax int32) {

@@ -55,9 +55,14 @@ func equivalenceSchemes() map[string]func() core.Predictor {
 		"gas":           func() core.Predictor { return core.NewGAs(7, 3) },
 		"gas-3bit":      func() core.Predictor { return core.NewGAs(7, 3).WithCounterBits(3) },
 		"gas-meter":     func() core.Predictor { return core.NewGAs(6, 4).EnableMeter() },
+		"gas-3bit-meter": func() core.Predictor {
+			return core.NewGAs(6, 3).WithCounterBits(3).EnableMeter()
+		},
 		"gshare":        func() core.Predictor { return core.NewGShare(9, 2) },
+		"gshare-1bit":   func() core.Predictor { return core.NewGShare(9, 2).WithCounterBits(1) },
 		"gshare-meter":  func() core.Predictor { return core.NewGShare(8, 2).EnableMeter() },
 		"path":          func() core.Predictor { return core.NewPath(8, 3, 2) },
+		"path-3bit":     func() core.Predictor { return core.NewPath(8, 3, 2).WithCounterBits(3) },
 		"path-meter":    func() core.Predictor { return core.NewPath(8, 3, 1).EnableMeter() },
 		"pag-perfect":   func() core.Predictor { return core.NewPAg(history.NewPerfect(8)) },
 		"pas-perfect":   func() core.Predictor { return core.NewPAs(3, history.NewPerfect(7)) },
@@ -149,25 +154,6 @@ func TestKernelEquivalence(t *testing.T) {
 				_ = oi
 			}
 		}
-	}
-}
-
-// plainSource hides the BatchSource fast path so RunBatched exercises
-// the batchAdapter copy loop.
-type plainSource struct{ src trace.Source }
-
-func (p plainSource) Next() (trace.Branch, bool) { return p.src.Next() }
-
-// TestRunBatchedAdapterEquivalence covers the generic-Source entry
-// point: an arbitrary Source adapted into chunks must match Run too.
-func TestRunBatchedAdapterEquivalence(t *testing.T) {
-	tr := kernelTrace(7, 10007)
-	opt := Options{Warmup: 100, Chunk: 513}
-	build := func() core.Predictor { return core.NewGShare(8, 2).EnableMeter() }
-	want := Run(build(), tr.NewSource(), opt)
-	got := RunBatched(build(), plainSource{tr.NewSource()}, opt)
-	if got != want {
-		t.Errorf("RunBatched over adapter diverges\n got: %+v\nwant: %+v", got, want)
 	}
 }
 

@@ -7,8 +7,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"bpred/internal/core"
 	"bpred/internal/obs"
@@ -67,7 +65,7 @@ type Options struct {
 // interface-dispatched loop. It is the reference implementation the
 // batched kernels are validated against (kernel_test.go) and the
 // guaranteed-compatible path for third-party Source and Predictor
-// implementations; hot callers should prefer RunBatched or the
+// implementations; hot callers should prefer RunTrace or the other
 // trace-level entry points, which select monomorphic kernels.
 func Run(p core.Predictor, src trace.Source, opt Options) Metrics {
 	m := Metrics{Name: p.Name()}
@@ -92,42 +90,6 @@ func Run(p core.Predictor, src trace.Source, opt Options) Metrics {
 	return m
 }
 
-// RunCtx is Run with cancellation checked every chunk's worth of
-// branches (the same cancel latency bound as the batched entry
-// points). On cancellation it returns the partial tally and ctx.Err().
-func RunCtx(ctx context.Context, p core.Predictor, src trace.Source, opt Options) (Metrics, error) {
-	m := Metrics{Name: p.Name()}
-	warm := opt.Warmup
-	step := chunkLen(opt)
-	done := ctx.Done()
-	for n := 0; ; n++ {
-		if done != nil && n%step == 0 {
-			select {
-			case <-done:
-				finishMetrics(&m, p)
-				return m, ctx.Err()
-			default:
-			}
-		}
-		b, ok := src.Next()
-		if !ok {
-			break
-		}
-		pred := p.Predict(b)
-		p.Update(b)
-		if warm > 0 {
-			warm--
-			continue
-		}
-		m.Branches++
-		if pred != b.Taken {
-			m.Mispredicts++
-		}
-	}
-	finishMetrics(&m, p)
-	return m, nil
-}
-
 // finishMetrics attaches the optional reporter epilogues to m.
 func finishMetrics(m *Metrics, p core.Predictor) {
 	if ar, ok := p.(core.AliasReporter); ok {
@@ -138,43 +100,6 @@ func finishMetrics(m *Metrics, p core.Predictor) {
 	}
 }
 
-// RunBatched drives one predictor over a source through the batched
-// fast path: a monomorphic kernel when the predictor is a known
-// scheme, the generic chunk loop otherwise. Results are bit-identical
-// to Run.
-func RunBatched(p core.Predictor, src trace.Source, opt Options) Metrics {
-	m, _ := RunBatchedCtx(context.Background(), p, src, opt)
-	return m
-}
-
-// RunBatchedCtx is RunBatched with cancellation: ctx is checked once
-// per chunk, so a cancel is honored within one chunk of work (zero
-// cost inside the kernels; with a background context the check
-// compiles to a nil comparison). On cancellation it returns the
-// metrics accumulated so far — a partial tally over the branches fed
-// before the cancel — together with ctx.Err().
-func RunBatchedCtx(ctx context.Context, p core.Predictor, src trace.Source, opt Options) (Metrics, error) {
-	bs := trace.AsBatch(src)
-	r := newRunner(p, opt)
-	buf := make([]trace.Branch, chunkLen(opt))
-	done := ctx.Done()
-	for {
-		if done != nil {
-			select {
-			case <-done:
-				return r.finish(), ctx.Err()
-			default:
-			}
-		}
-		chunk := bs.NextBatch(buf)
-		if len(chunk) == 0 {
-			break
-		}
-		r.feed(chunk)
-	}
-	return r.finish(), nil
-}
-
 // RunTrace drives one predictor over an in-memory trace on the
 // batched fast path (chunks are zero-copy windows into the trace).
 func RunTrace(p core.Predictor, t *trace.Trace, opt Options) Metrics {
@@ -182,30 +107,37 @@ func RunTrace(p core.Predictor, t *trace.Trace, opt Options) Metrics {
 	return m
 }
 
-// RunTraceCtx is RunTrace with cancellation, under the same
-// chunk-boundary contract as RunBatchedCtx: on cancellation the
-// returned Metrics cover the branches processed so far and the error
-// is ctx.Err().
+// RunTraceCtx is RunTrace with cancellation: ctx is checked once per
+// chunk, so a cancel is honored within one chunk of work (zero cost
+// inside the kernels; with a background context the check compiles to
+// a nil comparison). On cancellation the returned Metrics cover the
+// branches processed so far and the error is ctx.Err().
 func RunTraceCtx(ctx context.Context, p core.Predictor, t *trace.Trace, opt Options) (Metrics, error) {
 	r := newRunner(p, opt)
+	if !eachChunk(ctx, t.Branches, opt, r.feed) {
+		return r.finish(), ctx.Err()
+	}
+	return r.finish(), nil
+}
+
+// eachChunk feeds branches to fn in windows of chunkLen(opt) branches,
+// checking ctx before each one. It reports false, having stopped early,
+// when ctx is canceled; a background context costs one nil comparison
+// per chunk.
+func eachChunk(ctx context.Context, branches []trace.Branch, opt Options, fn func(chunk []trace.Branch)) bool {
 	step := chunkLen(opt)
 	done := ctx.Done()
-	branches := t.Branches
 	for off := 0; off < len(branches); off += step {
 		if done != nil {
 			select {
 			case <-done:
-				return r.finish(), ctx.Err()
+				return false
 			default:
 			}
 		}
-		end := off + step
-		if end > len(branches) {
-			end = len(branches)
-		}
-		r.feed(branches[off:end])
+		fn(branches[off:min(off+step, len(branches))])
 	}
-	return r.finish(), nil
+	return true
 }
 
 // RunConfigs builds every configuration and runs each over the trace,
@@ -218,7 +150,7 @@ func RunConfigs(configs []core.Config, t *trace.Trace, opt Options) ([]Metrics, 
 // RunConfigsCtx is RunConfigs with cancellation. The partial-result
 // contract is RunPredictorsCtx's: on cancellation the returned error
 // is ctx.Err() and the metrics slice holds final values for every
-// configuration whose worker batch completed before the cancel
+// configuration whose batch completed before the cancel
 // (recognizable by a non-empty Name) and zero Metrics for the rest.
 //
 // Mask-compatible groups of configurations (see fused.go) execute
@@ -231,10 +163,7 @@ func RunConfigsCtx(ctx context.Context, configs []core.Config, t *trace.Trace, o
 		return nil, err
 	}
 	groups, rest := fuseGroups(configs)
-	if len(groups) == 0 {
-		return RunPredictorsCtx(ctx, preds, t, opt)
-	}
-	return runFused(ctx, groups, rest, preds, t, opt)
+	return execute(ctx, groups, rest, preds, t, opt)
 }
 
 // buildConfigs builds every configuration, failing fast on the first
@@ -267,91 +196,29 @@ func RunPredictors(preds []core.Predictor, t *trace.Trace, opt Options) []Metric
 	return out
 }
 
-// RunPredictorsCtx is RunPredictors with cancellation. Every worker
-// checks ctx once per chunk, so after a cancel the call returns within
-// one chunk of per-worker work and leaves no goroutines behind
-// (workers exit through the same WaitGroup as a normal run).
+// RunPredictorsCtx is RunPredictors with cancellation. It is the
+// executor behind RunConfigsCtx with no fuse groups: every predictor
+// runs on its per-config kernel. Every batch checks ctx once per
+// chunk, so after a cancel the call returns within one chunk of
+// per-worker work and leaves no goroutines behind (workers exit
+// through the same WaitGroup as a normal run).
 //
 // Partial-result contract: on cancellation the error is ctx.Err() and
 // the returned slice is still len(preds) long; entries for predictors
-// whose worker batch ran to completion before the cancel hold their
-// final Metrics (recognizable by a non-empty Name — finish always
-// stamps one), while predictors interrupted mid-stream are left as
-// zero Metrics. Chunk-shared execution advances a worker's whole batch
-// in lockstep, so a batch is either wholly complete or wholly absent.
+// whose batch ran to completion before the cancel hold their final
+// Metrics (recognizable by a non-empty Name — finish always stamps
+// one), while predictors interrupted mid-stream are left as zero
+// Metrics. Chunk-shared execution advances a batch in lockstep, so a
+// batch is either wholly complete or wholly absent.
 func RunPredictorsCtx(ctx context.Context, preds []core.Predictor, t *trace.Trace, opt Options) ([]Metrics, error) {
-	out := make([]Metrics, len(preds))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(preds) {
-		workers = len(preds)
-	}
-	if workers <= 1 {
-		if !runBatch(ctx, preds, t.Branches, opt, out) {
-			return out, ctx.Err()
-		}
-		return out, nil
-	}
-	// Strided assignment: worker w simulates predictors w, w+workers,
-	// ... so that sweeps enumerated small-to-large spread their heavy
-	// configurations across workers.
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		batch := make([]core.Predictor, 0, (len(preds)+workers-1)/workers)
-		idx := make([]int, 0, cap(batch))
-		for i := w; i < len(preds); i += workers {
-			batch = append(batch, preds[i])
-			idx = append(idx, i)
-		}
-		wg.Add(1)
-		go func(batch []core.Predictor, idx []int) {
-			defer wg.Done()
-			res := make([]Metrics, len(batch))
-			if !runBatch(ctx, batch, t.Branches, opt, res) {
-				return // canceled: leave this batch's entries zero
-			}
-			for j, i := range idx {
-				out[i] = res[j]
-			}
-		}(batch, idx)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return out, err
-	}
-	return out, nil
+	return execute(ctx, nil, seq(len(preds)), preds, t, opt)
 }
 
-// runBatch simulates a batch of predictors over one branch stream,
-// chunk by chunk, writing out[i] for preds[i]. It checks ctx at every
-// chunk boundary and reports false without touching out when the
-// context is canceled mid-stream (a background context costs one nil
-// comparison per chunk).
-func runBatch(ctx context.Context, preds []core.Predictor, branches []trace.Branch, opt Options, out []Metrics) bool {
-	rs := make([]runner, len(preds))
-	for i, p := range preds {
-		rs[i] = newRunner(p, opt)
+// seq returns the indices 0..n-1.
+func seq(n int) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
 	}
-	step := chunkLen(opt)
-	done := ctx.Done()
-	for off := 0; off < len(branches); off += step {
-		if done != nil {
-			select {
-			case <-done:
-				return false
-			default:
-			}
-		}
-		end := off + step
-		if end > len(branches) {
-			end = len(branches)
-		}
-		chunk := branches[off:end]
-		for i := range rs {
-			rs[i].feed(chunk)
-		}
-	}
-	for i := range rs {
-		out[i] = rs[i].finish()
-	}
-	return true
+	return idx
 }

@@ -60,56 +60,52 @@ func RunConfigsStream(ctx context.Context, configs []core.Config, src trace.Batc
 }
 
 // streamChunks drives the decode loop, fanning each chunk across
-// worker goroutines in strided config partitions (the same assignment
-// RunPredictorsCtx uses). The chunk window is only valid until the
-// next NextBatch call, so every worker must drain it before the next
-// decode — a per-chunk barrier. Workers are persistent; the barrier
-// is two channel hops per chunk, amortized over a whole chunk of
-// kernel work per config.
+// worker goroutines in the strided config partitions strideSplit
+// gives the in-memory executor. The chunk window is only valid until
+// the next NextBatch call, so every worker must drain it before the
+// next decode — a per-chunk barrier. Workers are persistent; the
+// barrier is two channel hops per chunk, amortized over a whole chunk
+// of kernel work per config. A single partition runs inline.
 func streamChunks(ctx context.Context, rs []runner, src trace.BatchSource, opt Options) error {
+	parts := strideSplit(seq(len(rs)), min(runtime.GOMAXPROCS(0), len(rs)))
+	feedPart := func(part []int, chunk []trace.Branch) {
+		for _, i := range part {
+			rs[i].feed(chunk)
+		}
+	}
+	feed := func(chunk []trace.Branch) {
+		for _, part := range parts {
+			feedPart(part, chunk)
+		}
+	}
+	if len(parts) > 1 {
+		chans := make([]chan []trace.Branch, len(parts))
+		var barrier sync.WaitGroup
+		for w, part := range parts {
+			ch := make(chan []trace.Branch)
+			chans[w] = ch
+			go func() {
+				for chunk := range ch {
+					feedPart(part, chunk)
+					barrier.Done()
+				}
+			}()
+		}
+		defer func() {
+			for _, ch := range chans {
+				close(ch)
+			}
+		}()
+		feed = func(chunk []trace.Branch) {
+			barrier.Add(len(chans))
+			for _, ch := range chans {
+				ch <- chunk
+			}
+			barrier.Wait()
+		}
+	}
 	buf := make([]trace.Branch, chunkLen(opt))
 	done := ctx.Done()
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(rs) {
-		workers = len(rs)
-	}
-	if workers <= 1 {
-		for {
-			if done != nil {
-				select {
-				case <-done:
-					return ctx.Err()
-				default:
-				}
-			}
-			chunk := src.NextBatch(buf)
-			if len(chunk) == 0 {
-				return nil
-			}
-			for i := range rs {
-				rs[i].feed(chunk)
-			}
-		}
-	}
-	feed := make([]chan []trace.Branch, workers)
-	var barrier sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		ch := make(chan []trace.Branch)
-		feed[w] = ch
-		go func(w int, ch <-chan []trace.Branch) {
-			for chunk := range ch {
-				for i := w; i < len(rs); i += workers {
-					rs[i].feed(chunk)
-				}
-				barrier.Done()
-			}
-		}(w, ch)
-	}
-	defer func() {
-		for _, ch := range feed {
-			close(ch)
-		}
-	}()
 	for {
 		if done != nil {
 			select {
@@ -122,10 +118,6 @@ func streamChunks(ctx context.Context, rs []runner, src trace.BatchSource, opt O
 		if len(chunk) == 0 {
 			return nil
 		}
-		barrier.Add(workers)
-		for _, ch := range feed {
-			ch <- chunk
-		}
-		barrier.Wait()
+		feed(chunk)
 	}
 }

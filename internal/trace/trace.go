@@ -58,37 +58,6 @@ type BatchSource interface {
 	NextBatch(buf []Branch) []Branch
 }
 
-// AsBatch returns src itself when it already supports batch
-// iteration, or wraps it in an adapter that gathers chunks through
-// Next. The adapter lets the batched simulator consume arbitrary
-// third-party sources.
-func AsBatch(src Source) BatchSource {
-	if bs, ok := src.(BatchSource); ok {
-		return bs
-	}
-	return &batchAdapter{src: src}
-}
-
-// batchAdapter lifts a plain Source to BatchSource by buffering.
-type batchAdapter struct {
-	src Source
-}
-
-func (a *batchAdapter) Next() (Branch, bool) { return a.src.Next() }
-
-func (a *batchAdapter) NextBatch(buf []Branch) []Branch {
-	n := 0
-	for n < len(buf) {
-		b, ok := a.src.Next()
-		if !ok {
-			break
-		}
-		buf[n] = b
-		n++
-	}
-	return buf[:n]
-}
-
 // sliceSource adapts an in-memory trace to Source.
 type sliceSource struct {
 	branches []Branch

@@ -312,21 +312,6 @@ func TestReaderRejectsHugeName(t *testing.T) {
 	}
 }
 
-// fakeSource is a plain Source (no batch support) for adapter tests.
-type fakeSource struct {
-	branches []Branch
-	pos      int
-}
-
-func (s *fakeSource) Next() (Branch, bool) {
-	if s.pos >= len(s.branches) {
-		return Branch{}, false
-	}
-	b := s.branches[s.pos]
-	s.pos++
-	return b, true
-}
-
 func TestBatchSourceWindows(t *testing.T) {
 	tr := sample()
 	bs, ok := tr.NewSource().(BatchSource)
@@ -374,33 +359,6 @@ func TestBatchSourceMixedWithNext(t *testing.T) {
 	}
 	if chunk := bs.NextBatch(make([]Branch, 2)); len(chunk) != 0 {
 		t.Fatalf("exhausted NextBatch returned %d branches", len(chunk))
-	}
-}
-
-func TestAsBatchAdapter(t *testing.T) {
-	tr := sample()
-	bs := AsBatch(&fakeSource{branches: tr.Branches})
-	buf := make([]Branch, 3)
-	var got []Branch
-	for {
-		chunk := bs.NextBatch(buf)
-		if len(chunk) == 0 {
-			break
-		}
-		got = append(got, chunk...)
-	}
-	if len(got) != tr.Len() {
-		t.Fatalf("adapter yielded %d branches, want %d", len(got), tr.Len())
-	}
-	for i := range got {
-		if got[i] != tr.Branches[i] {
-			t.Fatalf("branch %d = %+v, want %+v", i, got[i], tr.Branches[i])
-		}
-	}
-	// AsBatch must not double-wrap an existing BatchSource.
-	inner := tr.NewSource()
-	if AsBatch(inner) != inner {
-		t.Fatal("AsBatch re-wrapped a BatchSource")
 	}
 }
 
