@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet lint race bench-sim bench-short bench-check cover fuzz-smoke diff-fuzz serve serve-test cluster-test soak all
+.PHONY: build test vet lint race bench-sim bench-short bench-check cover fuzz-smoke diff-fuzz serve serve-test cluster-test soak perfbench-test all
 
 all: build vet lint test
 
@@ -60,6 +60,13 @@ cluster-test:
 # in the normal suite; BPRED_SOAK=1 widens the churn window.
 soak:
 	BPRED_SOAK=1 $(GO) test -race -count=1 -run TestSoakUploadSweepEvict ./internal/service/
+
+# perfbench-test vets and tests the end-to-end benchmark (perfbench/,
+# its own module): it compiles against the service and sim APIs, which
+# no ./... pattern of the root module reaches.
+perfbench-test:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 # bench-short is the smoke-level benchmark pass CI runs: one
 # iteration of everything, just to keep the benchmarks compiling and

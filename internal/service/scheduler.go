@@ -19,23 +19,16 @@ type Scheduler interface {
 
 // LocalScheduler runs cells in-process on the simulation engine —
 // bpserved's single-node mode and the default when Config.Scheduler
-// is nil. Decoded handles take the in-memory fast path; streaming
-// handles (traces past the store's stream cutoff) drive the same
-// kernels from one BPT2 block at a time, with bit-identical metrics.
+// is nil. Every executor task opens its own pass through
+// TraceHandle.Open: zero-copy windows into a decoded trace, or a
+// fresh BPT2 reader over a streamed one (one decoded block resident
+// per task), with bit-identical metrics either way.
 type LocalScheduler struct{}
 
 // RunCells implements Scheduler.
 func (LocalScheduler) RunCells(ctx context.Context, digest [32]byte, warmup int, configs []core.Config, tr *TraceHandle, opt sim.Options) ([]sim.Metrics, error) {
 	_, _ = digest, warmup
-	if tr.Streaming() {
-		src, err := tr.OpenStream()
-		if err != nil {
-			return nil, err
-		}
-		defer src.Close() //bplint:ignore codecerr read-only stream; decode errors surface through Err inside RunConfigsStream
-		return sim.RunConfigsStream(ctx, configs, src, opt)
-	}
-	return sim.RunConfigsCtx(ctx, configs, tr.Decoded(), opt)
+	return sim.RunConfigsStream(ctx, configs, tr.Open, opt)
 }
 
 // ClusterScheduler routes cells to a cluster coordinator, which

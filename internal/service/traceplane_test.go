@@ -75,7 +75,7 @@ func TestTraceCacheLRUBoundAndPinning(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Acquire: %v", err)
 	}
-	if h0.Streaming() || h0.Decoded() == nil {
+	if h0.Streaming() {
 		t.Fatalf("small trace came back streaming")
 	}
 	for round := 0; round < 3; round++ {
@@ -128,15 +128,19 @@ func TestTraceCacheLRUBoundAndPinning(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Acquire: %v", err)
 	}
-	if !hs.Streaming() || hs.Decoded() != nil {
+	if !hs.Streaming() {
 		t.Fatalf("trace over the stream cutoff not streaming")
 	}
 	if got := st2.Resident(); got != 0 {
 		t.Fatalf("streaming acquire made a trace resident: %d", got)
 	}
-	src, err := hs.OpenStream()
+	open, err := hs.Open()
 	if err != nil {
-		t.Fatalf("OpenStream: %v", err)
+		t.Fatalf("Open: %v", err)
+	}
+	src, ok := open.(*trace.FileReader)
+	if !ok {
+		t.Fatalf("streaming handle opened a %T, want a block reader", open)
 	}
 	defer src.Close()
 	var got []trace.Branch

@@ -503,16 +503,23 @@ func (h *TraceHandle) Info() TraceInfo { return h.info }
 // rather than a resident decode.
 func (h *TraceHandle) Streaming() bool { return h.tr == nil }
 
-// Decoded returns the resident trace, or nil for streaming handles.
-func (h *TraceHandle) Decoded() *trace.Trace { return h.tr }
-
-// OpenStream opens a fresh block reader over the backing file. Each
-// sweep tier opens its own pass; the caller owns Close.
-func (h *TraceHandle) OpenStream() (*trace.FileReader, error) {
+// Open opens one pass over the trace from its first branch: a
+// zero-copy source over a decoded handle's resident trace, or a fresh
+// block reader over a streaming handle's backing file. Every executor
+// task opens its own pass; the caller closes a source that is an
+// io.Closer.
+func (h *TraceHandle) Open() (trace.BatchSource, error) {
+	if h.tr != nil {
+		return h.tr.NewSource(), nil
+	}
 	h.s.mu.Lock()
 	path := h.s.tracePathLocked(h.info.Digest)
 	h.s.mu.Unlock()
-	return trace.OpenFile(path)
+	fr, err := trace.OpenFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return fr, nil
 }
 
 // Release drops the handle's pin. Idempotent; streaming handles are

@@ -83,12 +83,7 @@ func RunBreakdown(p core.Predictor, src trace.Source, opt Options) *Breakdown {
 			c.miss++
 		}
 	}
-	if ar, ok := p.(core.AliasReporter); ok {
-		m.Alias = ar.AliasStats()
-	}
-	if fr, ok := p.(core.FirstLevelReporter); ok {
-		m.FirstLevelMissRate = fr.FirstLevelMissRate()
-	}
+	finishMetrics(&m, p)
 	out := &Breakdown{Metrics: m, Branches: make([]BranchBreakdown, 0, len(perPC))}
 	for pc, c := range perPC {
 		out.Branches = append(out.Branches, BranchBreakdown{PC: pc, Instances: c.inst, Mispredicts: c.miss})

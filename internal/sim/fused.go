@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"io"
 	"runtime"
 	"slices"
 	"sync"
@@ -674,70 +675,109 @@ func laneTAGE(t *core.TAGE, pcs []uint64, ups []uint8, idx, tag []uint32, tables
 	return miss
 }
 
-// execute is the one in-memory executor. It runs each fuse group
+// execute is the one executor. It runs each fuse group
 // config-parallel and the remainder (the indices in rest) on the
 // per-config batched kernels; preds are the built predictors, indexed
 // like the returned slice. Each group, and the remainder, is carved
 // into strided tasks sized by its share of the total count, so all
 // workers stay busy and heavy geometries spread across tasks; with no
-// groups that is min(GOMAXPROCS, len(preds)) batches. Each task owns
-// a disjoint set of result slots and writes them only when it runs to
-// completion, which is the partial-result contract of
-// RunPredictorsCtx.
-func execute(ctx context.Context, groups []fuseGroup, rest []int, preds []core.Predictor, t *trace.Trace, opt Options) ([]Metrics, error) {
+// groups that is min(GOMAXPROCS, len(preds)) batches.
+//
+// Every task makes its own pass over the trace (see runPass), so no
+// task waits on another: a resident opener hands each one zero-copy
+// windows, a streaming one a reader of its own. Each task owns a
+// disjoint set of result slots and writes them only when its pass
+// runs to completion, which is the partial-result contract of
+// RunPredictorsCtx. A source error from any task zeroes every entry
+// and is returned instead.
+func execute(ctx context.Context, groups []fuseGroup, rest []int, preds []core.Predictor, open func() (trace.BatchSource, error), opt Options) ([]Metrics, error) {
 	out := make([]Metrics, len(preds))
 	workers := runtime.GOMAXPROCS(0)
-	var tasks []func()
+	var tasks []func() error
 	for _, g := range groups {
 		for _, sub := range strideSplit(g.idx, taskShare(workers, len(g.idx), len(preds))) {
 			fb := newFusedBatch(g.key, sub, preds, opt)
-			tasks = append(tasks, func() {
-				if eachChunk(ctx, t.Branches, opt, fb.feed) {
-					fb.finishInto(out)
-				}
+			tasks = append(tasks, func() error {
+				return runPass(ctx, open, opt, fb.feed, func() { fb.finishInto(out) })
 			})
 		}
 	}
 	for _, sub := range strideSplit(rest, taskShare(workers, len(rest), len(preds))) {
-		tasks = append(tasks, func() {
-			runBatch(ctx, preds, sub, t.Branches, opt, out)
+		tasks = append(tasks, func() error {
+			return runBatch(ctx, preds, sub, open, opt, out)
 		})
 	}
+	errs := make([]error, len(tasks))
 	if len(tasks) == 1 {
-		tasks[0]()
+		errs[0] = tasks[0]()
 	} else {
 		var wg sync.WaitGroup
-		for _, task := range tasks {
+		for k, task := range tasks {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				task()
+				errs[k] = task()
 			}()
 		}
 		wg.Wait()
 	}
+	for _, err := range errs {
+		if err != nil {
+			clear(out)
+			return out, err
+		}
+	}
 	return out, ctx.Err()
 }
 
-// runBatch simulates the predictors preds[i], i in idx, over one
-// branch stream chunk by chunk, replaying each chunk through every
-// predictor before the next. It writes out[i] only when the stream
-// runs to completion; a cancel leaves the batch's entries zero.
-func runBatch(ctx context.Context, preds []core.Predictor, idx []int, branches []trace.Branch, opt Options, out []Metrics) {
+// runPass is one task's pass over the trace: it opens a source, feeds
+// it to feed chunk by chunk, checks its Err (when it has one) at the
+// end, and closes it (when it is an io.Closer). finish runs only when
+// the pass completed cleanly. A cancel returns nil without finishing;
+// the caller reports ctx.Err(). The error is the open, read or close
+// failure.
+func runPass(ctx context.Context, open func() (trace.BatchSource, error), opt Options, feed func(chunk []trace.Branch), finish func()) (err error) {
+	src, err := open()
+	if err != nil {
+		return err
+	}
+	if c, ok := src.(io.Closer); ok {
+		defer func() {
+			if cerr := c.Close(); err == nil {
+				err = cerr
+			}
+		}()
+	}
+	if !eachChunk(ctx, src, opt, feed) {
+		return nil
+	}
+	if es, ok := src.(interface{ Err() error }); ok {
+		err = es.Err()
+	}
+	if err == nil {
+		finish()
+	}
+	return err
+}
+
+// runBatch simulates the predictors preds[i], i in idx, over one pass
+// of the trace, replaying each chunk through every predictor before
+// the next. It writes out[i] only when the pass runs to completion; a
+// cancel or source error leaves the batch's entries zero.
+func runBatch(ctx context.Context, preds []core.Predictor, idx []int, open func() (trace.BatchSource, error), opt Options, out []Metrics) error {
 	rs := make([]runner, len(idx))
 	for j, i := range idx {
 		rs[j] = newRunner(preds[i], opt)
 	}
-	if !eachChunk(ctx, branches, opt, func(chunk []trace.Branch) {
+	return runPass(ctx, open, opt, func(chunk []trace.Branch) {
 		for j := range rs {
 			rs[j].feed(chunk)
 		}
-	}) {
-		return
-	}
-	for j, i := range idx {
-		out[i] = rs[j].finish()
-	}
+	}, func() {
+		for j, i := range idx {
+			out[i] = rs[j].finish()
+		}
+	})
 }
 
 // taskShare apportions worker slots to a group of n configurations out

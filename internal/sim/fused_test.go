@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -307,13 +308,18 @@ func TestFusedSingleConfigFallsBack(t *testing.T) {
 }
 
 // TestGOMAXPROCSIndependence pins results against the worker count.
-// Every in-memory entry point shares one task carver, and its split
-// depends on GOMAXPROCS; the mixed and tage axes through RunConfigs
-// and the mixed axis through RunPredictors must come out identical at
-// 1, 2, 3 and 7 workers.
+// Every entry point shares one task carver, and its split depends on
+// GOMAXPROCS; the mixed and tage axes through RunConfigs and through
+// RunConfigsStream over a BPT2 file (one reader per task), and the
+// mixed axis through RunPredictors, must come out identical at 1, 2,
+// 3 and 7 workers.
 func TestGOMAXPROCSIndependence(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	tr := kernelTrace(25, 12_007)
+	p2 := filepath.Join(t.TempDir(), "procs.bpt2")
+	if err := trace.WriteFile2(p2, tr, 0); err != nil {
+		t.Fatal(err)
+	}
 	opt := Options{Warmup: 301, Chunk: 1000}
 	axes := fusedAxes()
 	var want map[string][]Metrics
@@ -326,12 +332,24 @@ func TestGOMAXPROCSIndependence(t *testing.T) {
 				t.Fatalf("GOMAXPROCS %d: RunConfigs %s: %v", procs, name, err)
 			}
 			got["RunConfigs/"+name] = ms
+			if ms, err = RunConfigsStream(context.Background(), axes[name], fileOpener(p2), opt); err != nil {
+				t.Fatalf("GOMAXPROCS %d: RunConfigsStream %s: %v", procs, name, err)
+			}
+			got["RunConfigsStream/"+name] = ms
 		}
 		preds, err := buildConfigs(axes["mixed"], opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got["RunPredictors/mixed"] = RunPredictors(preds, tr, opt)
+		for _, name := range []string{"mixed", "tage"} {
+			for i, m := range got["RunConfigsStream/"+name] {
+				if m != got["RunConfigs/"+name][i] {
+					t.Errorf("GOMAXPROCS %d: %s entry %d streamed = %+v, in-memory %+v",
+						procs, name, i, m, got["RunConfigs/"+name][i])
+				}
+			}
+		}
 		if want == nil {
 			want = got
 			continue

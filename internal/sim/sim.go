@@ -7,6 +7,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"bpred/internal/core"
 	"bpred/internal/obs"
@@ -114,20 +115,40 @@ func RunTrace(p core.Predictor, t *trace.Trace, opt Options) Metrics {
 // branches processed so far and the error is ctx.Err().
 func RunTraceCtx(ctx context.Context, p core.Predictor, t *trace.Trace, opt Options) (Metrics, error) {
 	r := newRunner(p, opt)
-	if !eachChunk(ctx, t.Branches, opt, r.feed) {
+	if !eachChunk(ctx, t.NewSource(), opt, r.feed) {
 		return r.finish(), ctx.Err()
 	}
 	return r.finish(), nil
 }
 
-// eachChunk feeds branches to fn in windows of chunkLen(opt) branches,
-// checking ctx before each one. It reports false, having stopped early,
-// when ctx is canceled; a background context costs one nil comparison
-// per chunk.
-func eachChunk(ctx context.Context, branches []trace.Branch, opt Options, fn func(chunk []trace.Branch)) bool {
-	step := chunkLen(opt)
+// chunkBufs recycles eachChunk's batch buffers. Only BPT1 readers
+// write into one, but NextBatch takes its window size from len(buf),
+// and a fresh 192 KiB buffer per pass would cost a small-trace
+// RunTrace call more than its simulation.
+var chunkBufs sync.Pool
+
+// eachChunk feeds src to fn one NextBatch window of at most
+// chunkLen(opt) branches at a time, checking ctx before each. It
+// reports false, having stopped early, when ctx is canceled; a
+// background context costs one nil comparison per chunk. It is the
+// one chunk loop: every entry point drives its kernels through it,
+// over a resident trace's zero-copy windows or a reader's decoded
+// blocks alike.
+func eachChunk(ctx context.Context, src trace.BatchSource, opt Options, fn func(chunk []trace.Branch)) bool {
+	n := chunkLen(opt)
+	bp, _ := chunkBufs.Get().(*[]trace.Branch)
+	if bp == nil || cap(*bp) < n {
+		b := make([]trace.Branch, n)
+		bp = &b
+	}
+	defer chunkBufs.Put(bp)
+	buf := (*bp)[:n]
 	done := ctx.Done()
-	for off := 0; off < len(branches); off += step {
+	for {
+		chunk := src.NextBatch(buf)
+		if len(chunk) == 0 {
+			return true
+		}
 		if done != nil {
 			select {
 			case <-done:
@@ -135,9 +156,8 @@ func eachChunk(ctx context.Context, branches []trace.Branch, opt Options, fn fun
 			default:
 			}
 		}
-		fn(branches[off:min(off+step, len(branches))])
+		fn(chunk)
 	}
-	return true
 }
 
 // RunConfigs builds every configuration and runs each over the trace,
@@ -158,12 +178,35 @@ func RunConfigs(configs []core.Config, t *trace.Trace, opt Options) ([]Metrics, 
 // at once, and the remainder runs on the per-config kernels. Fusion
 // never changes results — only how many times the trace is decoded.
 func RunConfigsCtx(ctx context.Context, configs []core.Config, t *trace.Trace, opt Options) ([]Metrics, error) {
+	return RunConfigsStream(ctx, configs, resident(t), opt)
+}
+
+// RunConfigsStream is RunConfigsCtx over a trace that need not be
+// memory-resident. open must return a fresh pass over the trace from
+// its first branch on every call: each executor task (see execute)
+// opens its own, drains it, and closes it if it is an io.Closer. With
+// a trace.FileReader per pass, peak residency is one decoded BPT2
+// block per task, regardless of trace length. Fusion and the task
+// split are RunConfigsCtx's, so metrics are bit-identical to it over
+// the decoded trace (the stream-equivalence tests pin this).
+//
+// Cancellation follows RunConfigsCtx's partial-result contract. A
+// source error — an open that fails, or a pass whose Err reports a
+// corrupt or truncated trace — zeroes every entry and is returned, so
+// no metric from a bad read reaches the caller.
+func RunConfigsStream(ctx context.Context, configs []core.Config, open func() (trace.BatchSource, error), opt Options) ([]Metrics, error) {
 	preds, err := buildConfigs(configs, opt)
 	if err != nil {
 		return nil, err
 	}
 	groups, rest := fuseGroups(configs)
-	return execute(ctx, groups, rest, preds, t, opt)
+	return execute(ctx, groups, rest, preds, open, opt)
+}
+
+// resident opens passes over an in-memory trace: zero-copy windows,
+// nothing to close.
+func resident(t *trace.Trace) func() (trace.BatchSource, error) {
+	return func() (trace.BatchSource, error) { return t.NewSource(), nil }
 }
 
 // buildConfigs builds every configuration, failing fast on the first
@@ -211,7 +254,7 @@ func RunPredictors(preds []core.Predictor, t *trace.Trace, opt Options) []Metric
 // Metrics. Chunk-shared execution advances a batch in lockstep, so a
 // batch is either wholly complete or wholly absent.
 func RunPredictorsCtx(ctx context.Context, preds []core.Predictor, t *trace.Trace, opt Options) ([]Metrics, error) {
-	return execute(ctx, nil, seq(len(preds)), preds, t, opt)
+	return execute(ctx, nil, seq(len(preds)), preds, resident(t), opt)
 }
 
 // seq returns the indices 0..n-1.

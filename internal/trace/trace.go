@@ -64,10 +64,9 @@ type sliceSource struct {
 	pos      int
 }
 
-// NewSource returns a Source over the trace's branches. The returned
-// source is also a BatchSource whose batches are zero-copy windows
-// into the trace.
-func (t *Trace) NewSource() Source {
+// NewSource returns a BatchSource over the trace's branches whose
+// batches are zero-copy windows into the trace.
+func (t *Trace) NewSource() BatchSource {
 	return &sliceSource{branches: t.Branches}
 }
 
