@@ -106,36 +106,49 @@ COVER_FLOOR = 80
 # -coverpkg spans the gated set so cross-package exercise counts: the
 # analyzer fixtures drive load/analysistest, and cmd/bplint's smoke
 # test drives the bplint driver package.
-COVER_PKGS = ./internal/sim/,./internal/sweep/,./internal/checkpoint/,./internal/obs/,./internal/analysis/...,./internal/service/,./internal/counter/,./internal/cluster/,./internal/trace/,./internal/core/
+COVER_PKGS = ./internal/sim/,./internal/sweep/,./internal/checkpoint/,./internal/obs/,./internal/analysis/...,./internal/service/,./internal/counter/,./internal/cluster/,./internal/trace/,./internal/core/,./internal/durable/
 
 cover:
 	$(GO) test -coverprofile=coverage.out -coverpkg=$(COVER_PKGS) \
 		./internal/sim/ ./internal/sweep/ ./internal/checkpoint/ ./internal/obs/ \
 		./internal/analysis/... ./cmd/bplint/ ./internal/service/ ./internal/counter/ \
-		./internal/cluster/ ./internal/trace/ ./internal/core/
+		./internal/cluster/ ./internal/trace/ ./internal/core/ ./internal/durable/
 	@total=$$($(GO) tool cover -func=coverage.out | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \
 	echo "total coverage: $$total% (floor $(COVER_FLOOR)%)"; \
 	awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN { exit (t+0 < f+0) ? 1 : 0 }' || \
 		{ echo "coverage $$total% below floor $(COVER_FLOOR)%"; exit 1; }
 
 # fuzz-smoke gives each fuzz target a short budget — enough to catch
-# shallow decoder regressions and kernel or fused-executor divergence
-# on every CI run without open-ended fuzz time.
+# shallow decoder and parser regressions and kernel or fused-executor
+# divergence on every CI run without open-ended fuzz time. Each entry
+# is <package>:<-fuzz pattern>. go test only warns, and exits 0, when
+# a -fuzz pattern matches no fuzz test, so a pattern that matches
+# nothing fails the target here.
+FUZZ_SMOKE = \
+	./internal/trace/:FuzzReader$$ \
+	./internal/trace/:FuzzRoundTrip$$ \
+	./internal/trace/:FuzzReader2 \
+	./internal/trace/:FuzzRoundTrip2 \
+	./internal/checkpoint/:FuzzRead \
+	./internal/checkpoint/:FuzzRoundTrip \
+	./internal/core/:FuzzParseConfig \
+	./internal/refmodel/diff/:FuzzDiffTAGE \
+	./internal/refmodel/diff/:FuzzDiffPerceptron \
+	./internal/refmodel/diff/:FuzzDiffTournament \
+	./internal/sim/:FuzzFusedEquivalence \
+	./internal/sim/:FuzzKernelEquivalence
+
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz 'FuzzReader$$' -fuzztime 10s ./internal/trace/
-	$(GO) test -run '^$$' -fuzz 'FuzzRoundTrip$$' -fuzztime 10s ./internal/trace/
-	$(GO) test -run '^$$' -fuzz FuzzReader2 -fuzztime 10s ./internal/trace/
-	$(GO) test -run '^$$' -fuzz FuzzRoundTrip2 -fuzztime 10s ./internal/trace/
-	$(GO) test -run '^$$' -fuzz FuzzIndex2 -fuzztime 10s ./internal/trace/
-	$(GO) test -run '^$$' -fuzz FuzzRead -fuzztime 10s ./internal/checkpoint/
-	$(GO) test -run '^$$' -fuzz FuzzRoundTrip -fuzztime 10s ./internal/checkpoint/
-	$(GO) test -run '^$$' -fuzz FuzzKeyCodec -fuzztime 10s ./internal/cluster/
-	$(GO) test -run '^$$' -fuzz FuzzCheckpointFileName -fuzztime 10s ./internal/cluster/
-	$(GO) test -run '^$$' -fuzz FuzzDiffTAGE -fuzztime 10s ./internal/refmodel/diff/
-	$(GO) test -run '^$$' -fuzz FuzzDiffPerceptron -fuzztime 10s ./internal/refmodel/diff/
-	$(GO) test -run '^$$' -fuzz FuzzDiffTournament -fuzztime 10s ./internal/refmodel/diff/
-	$(GO) test -run '^$$' -fuzz FuzzFusedEquivalence -fuzztime 10s ./internal/sim/
-	$(GO) test -run '^$$' -fuzz FuzzKernelEquivalence -fuzztime 10s ./internal/sim/
+	@for t in $(FUZZ_SMOKE); do \
+		pkg=$${t%%:*}; fz=$${t#*:}; \
+		echo "$(GO) test -run '^$$' -fuzz '$$fz' -fuzztime 10s $$pkg"; \
+		out=$$($(GO) test -run '^$$' -fuzz "$$fz" -fuzztime 10s $$pkg 2>&1); rc=$$?; \
+		printf '%s\n' "$$out"; \
+		[ $$rc -eq 0 ] || exit $$rc; \
+		if printf '%s\n' "$$out" | grep -q 'no fuzz tests to fuzz'; then \
+			echo "fuzz-smoke: -fuzz '$$fz' matches no fuzz test in $$pkg"; exit 1; \
+		fi; \
+	done
 
 # diff-fuzz differentially fuzzes every scheme family against the
 # independent reference model (internal/refmodel): random traces,

@@ -1,7 +1,7 @@
-// bpserved serves branch-predictor sweeps over HTTP: upload BPT1
-// traces, submit sweep jobs, poll status, stream progress, and fetch
-// results, with all simulation deduplicated through the shared BPC1
-// checkpoint cache.
+// bpserved serves branch-predictor sweeps over HTTP: upload BPT1 or
+// BPT2 traces, submit sweep jobs, poll status, stream progress, and
+// fetch results, with all simulation deduplicated through the shared
+// BPC1 checkpoint cache.
 //
 // Usage:
 //

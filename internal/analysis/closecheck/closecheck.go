@@ -1,9 +1,10 @@
 // Package closecheck enforces resource pairing on the trace plane's
 // ownership protocols (DESIGN.md §14): a value obtained from an
-// Acquire must be Released, an OpenStream must be Closed, and an
-// os.CreateTemp file must eventually be renamed into place or
-// removed. A leaked handle pins its trace in the LRU cache forever; a
-// leaked temp file fills the data directory.
+// Acquire must be Released, a reader from OpenFile (trace.OpenFile)
+// must be Closed, and an os.CreateTemp file must eventually be renamed
+// into place or removed. A leaked handle pins its trace in the LRU
+// cache forever; a leaked reader holds its file open; a leaked temp
+// file fills the data directory.
 //
 // The check is per-function and presence-based with one path rule:
 //
@@ -36,15 +37,16 @@ import (
 // Analyzer is the closecheck pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "closecheck",
-	Doc: "Acquire/Release, OpenStream/Close, and CreateTemp/Rename-or-Remove pairs " +
+	Doc: "Acquire/Release, OpenFile/Close, and CreateTemp/Rename-or-Remove pairs " +
 		"must balance on every path through a function",
 	Run: run,
 }
 
-// pairs maps an acquiring method name to its releasing method.
+// pairs maps an acquiring method or function name to its releasing
+// method.
 var pairs = map[string]string{
-	"Acquire":    "Release",
-	"OpenStream": "Close",
+	"Acquire":  "Release",
+	"OpenFile": "Close",
 }
 
 func run(pass *analysis.Pass) (any, error) {
@@ -119,7 +121,7 @@ func mentionsCleanup(pass *analysis.Pass, body *ast.BlockStmt) bool {
 	return found
 }
 
-// checkAcquire verifies one Acquire/OpenStream assignment.
+// checkAcquire verifies one Acquire/OpenFile assignment.
 func checkAcquire(pass *analysis.Pass, body *ast.BlockStmt, assign *ast.AssignStmt, acquire, release string) {
 	lhs0, ok := ast.Unparen(assign.Lhs[0]).(*ast.Ident)
 	if !ok {

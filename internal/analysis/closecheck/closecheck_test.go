@@ -8,5 +8,5 @@ import (
 )
 
 func TestCloseCheck(t *testing.T) {
-	analysistest.Run(t, closecheck.Analyzer, "res")
+	analysistest.Run(t, closecheck.Analyzer, "trace", "res")
 }

@@ -1,9 +1,12 @@
 // Package res exercises closecheck: Acquire/Release,
-// OpenStream/Close, and CreateTemp/Rename-or-Remove pairs must
+// trace.OpenFile/Close, and CreateTemp/Rename-or-Remove pairs must
 // balance.
 package res
 
-import "os"
+import (
+	"os"
+	"trace"
+)
 
 // Handle is a pinned resource.
 type Handle struct{ pinned bool }
@@ -11,20 +14,11 @@ type Handle struct{ pinned bool }
 // Release unpins.
 func (h *Handle) Release() {}
 
-// Stream is a readable view of a handle.
-type Stream struct{ off int }
-
-// Close ends the stream.
-func (s *Stream) Close() error { return nil }
-
 // Store hands out handles.
 type Store struct{}
 
 // Acquire pins a resource.
 func (st *Store) Acquire(name string) (*Handle, error) { return &Handle{pinned: true}, nil }
-
-// OpenStream opens a view.
-func (h *Handle) OpenStream() (*Stream, error) { return &Stream{}, nil }
 
 // Good defers the release right after the error check.
 func Good(st *Store) error {
@@ -91,23 +85,24 @@ func Manual(st *Store) {
 	h.Release()
 }
 
-// StreamGood pairs OpenStream with a deferred Close.
-func StreamGood(h *Handle) error {
-	s, err := h.OpenStream()
+// StreamGood pairs trace.OpenFile with a deferred Close.
+func StreamGood(path string) error {
+	fr, err := trace.OpenFile(path)
 	if err != nil {
 		return err
 	}
-	defer s.Close()
+	defer fr.Close()
+	fr.Next()
 	return nil
 }
 
 // StreamLeak opens and walks away.
-func StreamLeak(h *Handle) {
-	s, err := h.OpenStream() // want `OpenStream result is never Closed`
+func StreamLeak(path string) {
+	fr, err := trace.OpenFile(path) // want `OpenFile result is never Closed`
 	if err != nil {
 		return
 	}
-	s.off = 1
+	fr.Next()
 }
 
 // TempGood removes the temp file on the way out.

@@ -39,6 +39,7 @@ package checkpoint
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -50,6 +51,7 @@ import (
 	"sync"
 
 	"bpred/internal/core"
+	"bpred/internal/durable"
 	"bpred/internal/sim"
 )
 
@@ -286,8 +288,8 @@ func PathFor(dir string, digest [32]byte, warmup uint64) string {
 // -race). Two Stores opened on the same path do NOT merge: Flush
 // rewrites the whole file, so the last flusher wins and the other's
 // unflushed entries are lost from disk. Concurrent writers must share
-// a single Store per path, which is what bpserved's per-(trace,
-// warmup) store registry guarantees.
+// a single Store per path, which is what a Stores registry
+// guarantees.
 type Store struct {
 	mu    sync.Mutex
 	path  string // "" = memory-only; immutable after Open
@@ -363,37 +365,86 @@ func (s *Store) Add(fp string, m sim.Metrics) {
 	s.dirty = true
 }
 
-// Flush atomically persists the store to its backing file (write to a
-// temp file in the same directory, then rename). It is a no-op for
-// memory-only or unmodified stores, so callers can flush at every
-// tier boundary without rewriting an unchanged file.
+// Flush atomically persists the store to its backing file
+// (durable.WriteFile). It is a no-op for memory-only or unmodified
+// stores, so callers can flush at every tier boundary without
+// rewriting an unchanged file.
 func (s *Store) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.path == "" || !s.dirty {
 		return nil
 	}
-	dir, base := filepath.Split(s.path)
-	if dir == "" {
-		dir = "."
-	}
-	tmp, err := os.CreateTemp(dir, base+".tmp*")
-	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := Write(tmp, &s.file); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("checkpoint: closing temp file: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), s.path); err != nil {
-		os.Remove(tmp.Name())
+	f := &s.file // written while s.mu is held
+	if err := durable.WriteFile(s.path, func(w io.Writer) error { return Write(w, f) }); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 	s.dirty = false
 	return nil
+}
+
+// Stores is the registry of live Stores over one directory: one Store
+// per (trace digest, warmup) binding, so every writer of a path shares
+// it and no flush overwrites another's entries. The sweep service,
+// the cluster coordinator and the cluster workers each hold one.
+type Stores struct {
+	dir    string
+	mu     sync.Mutex
+	stores map[binding]*Store //bplint:guardedby mu
+}
+
+type binding struct {
+	digest [32]byte
+	warmup uint64
+}
+
+// NewStores returns an empty registry whose stores are backed by
+// files under dir (PathFor names them). An empty dir keeps every
+// store in memory.
+func NewStores(dir string) *Stores {
+	return &Stores{dir: dir, stores: make(map[binding]*Store)}
+}
+
+// For returns the binding's Store, opening (or creating) it on first
+// use. Concurrent callers get the same *Store.
+func (r *Stores) For(digest [32]byte, warmup uint64) (*Store, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	b := binding{digest, warmup}
+	if s, ok := r.stores[b]; ok {
+		return s, nil
+	}
+	s := NewMemory(digest, warmup)
+	if r.dir != "" {
+		var err error
+		if s, err = Open(PathFor(r.dir, digest, warmup), digest, warmup); err != nil {
+			return nil, err
+		}
+	}
+	r.stores[b] = s
+	return s, nil
+}
+
+// FlushAll flushes every store, in (digest, warmup) order, and
+// returns the first error. A failed store does not stop the others.
+func (r *Stores) FlushAll() error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	bs := make([]binding, 0, len(r.stores))
+	for b := range r.stores {
+		bs = append(bs, b)
+	}
+	sort.Slice(bs, func(i, j int) bool {
+		if c := bytes.Compare(bs[i].digest[:], bs[j].digest[:]); c != 0 {
+			return c < 0
+		}
+		return bs[i].warmup < bs[j].warmup
+	})
+	var first error
+	for _, b := range bs {
+		if err := r.stores[b].Flush(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }

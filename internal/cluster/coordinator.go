@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -14,6 +15,7 @@ import (
 
 	"bpred/internal/checkpoint"
 	"bpred/internal/core"
+	"bpred/internal/durable"
 	"bpred/internal/obs"
 	"bpred/internal/sim"
 )
@@ -30,25 +32,11 @@ type Config struct {
 	// larger ones amortize dispatch and let the fused kernels run
 	// wider config groups in one trace pass.
 	ChunkCells int
-	// Vnodes is the virtual-node count per worker on the hash ring
-	// (default DefaultVnodes).
-	Vnodes int
 	// LeaseTimeout, when positive, re-queues a dispatched chunk whose
 	// completion has not arrived within the timeout — liveness under
 	// silent worker death on the HTTP transport. Zero disables the
 	// reaper; in-process deployments signal death via WorkerLeave.
 	LeaseTimeout time.Duration
-	// NoReplicate disables piggybacked cell replication to workers.
-	NoReplicate bool
-	// Incarnation distinguishes this coordinator's chunk IDs from
-	// those of earlier coordinators over the same deployment: chunk
-	// IDs are incarnation<<32 | sequence, so a completion held in
-	// flight across a coordinator restart can never collide with a
-	// young chunk ID the restarted coordinator re-issued (DESIGN.md
-	// §11's known limitation, now closed). Zero derives it
-	// automatically: from a persisted counter under Dir when Dir is
-	// set (each NewCoordinator increments it), else 1.
-	Incarnation uint64
 	// PublishName, when non-empty, publishes the coordinator's
 	// counters under this name (obs.Published, the /metrics page).
 	PublishName string
@@ -93,22 +81,27 @@ type Stats struct {
 // The Coordinator itself implements CoordinatorClient, which is the
 // in-process transport; Handler wraps it for HTTP workers.
 type Coordinator struct {
-	cfg         Config
-	cnt         *obs.Counters
+	cfg    Config
+	cnt    *obs.Counters
+	stores *checkpoint.Stores // the authoritative per-(trace, warmup) ledgers
+	// incarnation distinguishes this coordinator's chunk IDs from
+	// those of earlier coordinators over the same deployment: chunk
+	// IDs are incarnation<<32 | sequence, so a completion held in
+	// flight across a coordinator restart can never collide with a
+	// young chunk ID the restarted coordinator re-issued.
 	incarnation uint64
 
 	mu       sync.Mutex
 	cond     *sync.Cond
-	closed   bool                         //bplint:guardedby mu
-	nextID   uint64                       //bplint:guardedby mu
-	ring     *Ring                        //bplint:guardedby mu
-	workers  map[string]*workerState      //bplint:guardedby mu
-	global   []*chunkState                //bplint:guardedby mu // chunks with no ring owner (empty fleet)
-	pending  map[uint64]*chunkState       //bplint:guardedby mu // dispatched, awaiting completion
-	cells    map[string]*cellWait         //bplint:guardedby mu // unsettled cells by Key.String()
-	stores   map[string]*checkpoint.Store //bplint:guardedby mu // "digest|warmup" -> authoritative ledger
-	seen     map[uint64]bool              //bplint:guardedby mu // chunk IDs whose progress was merged
-	stats    Stats                        //bplint:guardedby mu
+	closed   bool                    //bplint:guardedby mu
+	nextID   uint64                  //bplint:guardedby mu
+	ring     *Ring                   //bplint:guardedby mu
+	workers  map[string]*workerState //bplint:guardedby mu
+	global   []*chunkState           //bplint:guardedby mu // chunks with no ring owner (empty fleet)
+	pending  map[uint64]*chunkState  //bplint:guardedby mu // dispatched, awaiting completion
+	cells    map[string]*cellWait    //bplint:guardedby mu // unsettled cells by Key.String()
+	seen     map[uint64]bool         //bplint:guardedby mu // chunk IDs whose progress was merged
+	stats    Stats                   //bplint:guardedby mu
 	stopReap chan struct{}
 }
 
@@ -141,18 +134,15 @@ func NewCoordinator(cfg Config) *Coordinator {
 		cfg.ChunkCells = 8
 	}
 	c := &Coordinator{
-		cfg:     cfg,
-		cnt:     &obs.Counters{},
-		ring:    NewRing(cfg.Vnodes),
-		workers: make(map[string]*workerState),
-		pending: make(map[uint64]*chunkState),
-		cells:   make(map[string]*cellWait),
-		stores:  make(map[string]*checkpoint.Store),
-		seen:    make(map[uint64]bool),
-	}
-	c.incarnation = cfg.Incarnation
-	if c.incarnation == 0 {
-		c.incarnation = nextIncarnation(cfg.Dir)
+		cfg:         cfg,
+		cnt:         &obs.Counters{},
+		stores:      checkpoint.NewStores(cfg.Dir),
+		incarnation: nextIncarnation(cfg.Dir),
+		ring:        NewRing(DefaultVnodes),
+		workers:     make(map[string]*workerState),
+		pending:     make(map[uint64]*chunkState),
+		cells:       make(map[string]*cellWait),
+		seen:        make(map[uint64]bool),
 	}
 	c.cond = sync.NewCond(&c.mu)
 	if cfg.PublishName != "" {
@@ -185,15 +175,15 @@ func nextIncarnation(dir string) uint64 {
 	if n > 0xffffffff {
 		n = 1 // 32-bit tag space wrapped; collisions need 4G restarts plus a 2^32-chunk-old straggler
 	}
-	if err := os.MkdirAll(dir, 0o755); err == nil {
-		tmp := path + ".tmp"
-		if err := os.WriteFile(tmp, []byte(strconv.FormatUint(n, 10)+"\n"), 0o644); err == nil {
-			if err := os.Rename(tmp, path); err != nil {
-				fmt.Fprintf(os.Stderr, "cluster: persisting incarnation: %v\n", err)
-			}
-		} else {
-			fmt.Fprintf(os.Stderr, "cluster: persisting incarnation: %v\n", err)
-		}
+	err := os.MkdirAll(dir, 0o755)
+	if err == nil {
+		err = durable.WriteFile(path, func(w io.Writer) error {
+			_, err := fmt.Fprintf(w, "%d\n", n)
+			return err
+		})
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "cluster: persisting incarnation: %v\n", err)
 	}
 	return n
 }
@@ -224,28 +214,7 @@ func (c *Coordinator) Stats() Stats {
 // binding, creating it on first use. The returned Store is shared —
 // per checkpoint's rules, do not Open a second Store on its path.
 func (c *Coordinator) StoreFor(digest [32]byte, warmup uint64) (*checkpoint.Store, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.storeForLocked(digest, warmup)
-}
-
-func (c *Coordinator) storeForLocked(digest [32]byte, warmup uint64) (*checkpoint.Store, error) {
-	key := fmt.Sprintf("%x|%d", digest[:], warmup)
-	if s, ok := c.stores[key]; ok {
-		return s, nil
-	}
-	var s *checkpoint.Store
-	if c.cfg.Dir == "" {
-		s = checkpoint.NewMemory(digest, warmup)
-	} else {
-		var err error
-		s, err = checkpoint.Open(checkpoint.PathFor(c.cfg.Dir, digest, warmup), digest, warmup)
-		if err != nil {
-			return nil, err
-		}
-	}
-	c.stores[key] = s
-	return s, nil
+	return c.stores.For(digest, warmup)
 }
 
 // RunCells evaluates configs against (digest, warmup) across the
@@ -273,7 +242,7 @@ func (c *Coordinator) RunCells(ctx context.Context, digest [32]byte, warmup uint
 		c.mu.Unlock()
 		return out, ErrShutdown
 	}
-	store, err := c.storeForLocked(digest, warmup)
+	store, err := c.stores.For(digest, warmup)
 	if err != nil {
 		c.mu.Unlock()
 		return out, err
@@ -586,7 +555,7 @@ func (c *Coordinator) Complete(ctx context.Context, workerID string, res ChunkRe
 	if err != nil {
 		return err
 	}
-	store, err := c.storeForLocked(digest, res.Warmup)
+	store, err := c.stores.For(digest, res.Warmup)
 	if err != nil {
 		return err
 	}
@@ -616,14 +585,12 @@ func (c *Coordinator) Complete(ctx context.Context, workerID string, res ChunkRe
 			close(cw.done)
 			delete(c.cells, key)
 		}
-		if !c.cfg.NoReplicate {
-			rep := ReplicaCell{Trace: res.Trace, Warmup: res.Warmup, Fingerprint: cell.Fingerprint, Metrics: cell.Metrics}
-			for id, ws := range c.workers {
-				if id == workerID {
-					continue // the sender computed it; its cache is already warm
-				}
-				ws.backlog = append(ws.backlog, rep)
+		rep := ReplicaCell{Trace: res.Trace, Warmup: res.Warmup, Fingerprint: cell.Fingerprint, Metrics: cell.Metrics}
+		for id, ws := range c.workers {
+			if id == workerID {
+				continue // the sender computed it; its cache is already warm
 			}
+			ws.backlog = append(ws.backlog, rep)
 		}
 	}
 	if accepted > 0 {
@@ -706,17 +673,6 @@ func (c *Coordinator) Stop() error {
 		close(w.done)
 		delete(c.cells, key)
 	}
-	var first error
-	keys := make([]string, 0, len(c.stores))
-	for k := range c.stores {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if err := c.stores[k].Flush(); err != nil && first == nil {
-			first = err
-		}
-	}
 	c.cond.Broadcast()
-	return first
+	return c.stores.FlushAll()
 }

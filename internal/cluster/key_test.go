@@ -3,10 +3,8 @@ package cluster
 import (
 	"crypto/sha256"
 	"fmt"
-	"path/filepath"
 	"testing"
 
-	"bpred/internal/checkpoint"
 	"bpred/internal/core"
 )
 
@@ -41,174 +39,54 @@ func TestKeyStringMatchesServiceCellKey(t *testing.T) {
 	}
 }
 
-func TestKeyRoundTrip(t *testing.T) {
-	for _, warmup := range []uint64{0, 1, 64, 500, 1 << 40} {
-		for i, fp := range testFingerprints(t) {
-			k := Key{Digest: testDigest(byte(i)), Warmup: warmup, Fingerprint: fp}
-			got, err := ParseKey(k.String())
-			if err != nil {
-				t.Fatalf("ParseKey(%q): %v", k.String(), err)
-			}
-			if got != k {
-				t.Fatalf("round trip: got %+v, want %+v", got, k)
-			}
-			if got.String() != k.String() {
-				t.Fatalf("canonical re-encode mismatch: %q != %q", got.String(), k.String())
-			}
-		}
-	}
-}
-
-func TestParseKeyRejects(t *testing.T) {
-	d := testDigest(2)
-	hex64 := fmt.Sprintf("%x", d[:])
-	bad := []string{
-		"",
-		"nodigest",
-		hex64,                                // no warmup/fingerprint
-		hex64 + "|5",                         // no fingerprint
-		hex64 + "|5|",                        // empty fingerprint
-		hex64 + "|05|cfg1|s2",                // non-canonical warmup
-		hex64 + "|+5|cfg1|s2",                // sign
-		hex64 + "|x|cfg1|s2",                 // non-decimal warmup
-		hex64[:63] + "|5|cfg1|s2",            // short digest
-		hex64[:63] + "g|5|cfg1|s2",           // non-hex digest
-		"A" + hex64[1:] + "|5|cfg1",          // uppercase hex
-		hex64 + "x|5|cfg1|s2",                // long digest
-		hex64 + "|18446744073709551616|cfg1", // warmup overflow
-	}
-	for _, s := range bad {
-		if k, err := ParseKey(s); err == nil {
-			t.Errorf("ParseKey(%q) accepted as %+v, want error", s, k)
-		}
-	}
-}
-
-func TestCheckpointFileMatchesPathFor(t *testing.T) {
-	for _, warmup := range []uint64{0, 100, 500} {
-		for i := byte(0); i < 4; i++ {
-			d := testDigest(i)
-			k := Key{Digest: d, Warmup: warmup, Fingerprint: "cfg1|s2|r8|c12"}
-			want := filepath.Base(checkpoint.PathFor("/some/dir", d, warmup))
-			if got := k.CheckpointFile(); got != want {
-				t.Fatalf("CheckpointFile() = %q, want PathFor's %q", got, want)
+// TestKeyStringInjective checks that distinct cell keys never share a
+// string, over every combination of a small corpus whose fingerprints
+// include '|' separators, empty strings and warmup-like prefixes.
+func TestKeyStringInjective(t *testing.T) {
+	fps := append(testFingerprints(t), "", "|", "||", "5|x", "0|cfg1|s2", "x|", "pipes|every|where")
+	seen := map[string]Key{}
+	for i := byte(0); i < 3; i++ {
+		for _, warmup := range []uint64{0, 1, 5, 10, 50, 500, 1 << 40} {
+			for _, fp := range fps {
+				k := Key{Digest: testDigest(i), Warmup: warmup, Fingerprint: fp}
+				if other, ok := seen[k.String()]; ok {
+					t.Fatalf("keys %+v and %+v share the string %q", other, k, k.String())
+				}
+				seen[k.String()] = k
 			}
 		}
 	}
 }
 
-func TestCheckpointFileRoundTrip(t *testing.T) {
-	for _, warmup := range []uint64{0, 1, 100, 500, 1 << 40} {
-		d := testDigest(7)
-		k := Key{Digest: d, Warmup: warmup}
-		name := k.CheckpointFile()
-		prefix, w, err := ParseCheckpointFile(name)
-		if err != nil {
-			t.Fatalf("ParseCheckpointFile(%q): %v", name, err)
-		}
-		if w != warmup {
-			t.Fatalf("warmup = %d, want %d", w, warmup)
-		}
-		var wantPrefix [12]byte
-		copy(wantPrefix[:], d[:12])
-		if prefix != wantPrefix {
-			t.Fatalf("prefix = %x, want %x", prefix, wantPrefix)
-		}
-		if got := CheckpointFileFor(prefix, w); got != name {
-			t.Fatalf("CheckpointFileFor round trip: %q != %q", got, name)
-		}
-	}
-}
-
-func TestParseCheckpointFileRejects(t *testing.T) {
-	bad := []string{
-		"",
-		"sweep-.bpc",
-		"sweep-abc-w5.bpc", // short prefix
-		"nosweep-aaaaaaaaaaaaaaaaaaaaaaaa-w5.bpc", // bad prefix keyword
-		"sweep-aaaaaaaaaaaaaaaaaaaaaaaa-w5",       // no suffix
-		"sweep-aaaaaaaaaaaaaaaaaaaaaaaa-w05.bpc",  // non-canonical warmup
-		"sweep-aaaaaaaaaaaaaaaaaaaaaaaa-w.bpc",    // empty warmup
-		"sweep-aaaaaaaaaaaaaaaaaaaaaaaa-wx.bpc",   // non-decimal warmup
-		"sweep-AAAAAAAAAAAAAAAAAAAAAAAA-w5.bpc",   // uppercase hex
-		"sweep-gggggggggggggggggggggggg-w5.bpc",   // non-hex
-		"sweep-aaaaaaaaaaaaaaaaaaaaaaaaaa-w5.bpc", // long prefix
-		"sweep-aaaaaaaaaaaaaaaaaaaaaaaa5.bpc",     // missing -w
-	}
-	for _, name := range bad {
-		if _, _, err := ParseCheckpointFile(name); err == nil {
-			t.Errorf("ParseCheckpointFile(%q) accepted, want error", name)
-		}
-	}
-}
-
-// FuzzKeyCodec fuzzes both directions of the cell-key codec: every
-// constructed Key must survive String/ParseKey and the
-// checkpoint-filename projection, and every accepted string must be
-// canonical (re-encode to itself).
-func FuzzKeyCodec(f *testing.F) {
-	for i, fp := range []string{
-		"cfg1|s2|r8|c12",
-		"cfg1|s4|r4|c10|p4",
-		"cfg1|s0|r0|c10",
-		"weird fp with spaces",
-		"pipes|every|where",
+// FuzzKeyStringInjective checks that two distinct keys never render
+// to the same string.
+func FuzzKeyStringInjective(f *testing.F) {
+	d0, d1 := testDigest(0), testDigest(1)
+	for _, seed := range []struct {
+		d1  []byte
+		w1  uint64
+		fp1 string
+		d2  []byte
+		w2  uint64
+		fp2 string
+	}{
+		{d0[:], 1, "2|x", d0[:], 12, "x"},
+		{d0[:], 5, "|cfg1", d0[:], 5, "cfg1"},
+		{d0[:], 0, "cfg1|s2|r8|c12", d1[:], 0, "cfg1|s2|r8|c12"},
+		{d0[:], 10, "", d0[:], 1, "0|"},
+		{d0[:], 0, "pipes|every|where", d0[:], 0, "pipes|every"},
+		{d0[:], 500, "weird fp with spaces", d0[:], 500, "weird fp with spaces"},
+		{[]byte("short"), 0, "|", nil, 0, "||"},
 	} {
-		d := testDigest(byte(i))
-		k := Key{Digest: d, Warmup: uint64(i) * 100, Fingerprint: fp}
-		f.Add([]byte(k.String()), uint64(i)*100, fp)
+		f.Add(seed.d1, seed.w1, seed.fp1, seed.d2, seed.w2, seed.fp2)
 	}
-	f.Add([]byte("garbage"), uint64(0), "")
-	f.Fuzz(func(t *testing.T, raw []byte, warmup uint64, fp string) {
-		if fp != "" {
-			var d [32]byte
-			copy(d[:], raw)
-			k := Key{Digest: d, Warmup: warmup, Fingerprint: fp}
-			got, err := ParseKey(k.String())
-			if err != nil {
-				t.Fatalf("ParseKey(%q): %v", k.String(), err)
-			}
-			if got != k {
-				t.Fatalf("round trip: got %+v, want %+v", got, k)
-			}
-			name := k.CheckpointFile()
-			prefix, w, err := ParseCheckpointFile(name)
-			if err != nil {
-				t.Fatalf("ParseCheckpointFile(%q): %v", name, err)
-			}
-			if w != warmup || prefix != [12]byte(d[:12]) {
-				t.Fatalf("filename round trip: got (%x, %d), want (%x, %d)", prefix, w, d[:12], warmup)
-			}
-			if CheckpointFileFor(prefix, w) != name {
-				t.Fatalf("CheckpointFileFor(%x, %d) != %q", prefix, w, name)
-			}
-		}
-		if k, err := ParseKey(string(raw)); err == nil {
-			if k.String() != string(raw) {
-				t.Fatalf("accepted non-canonical key %q (re-encodes to %q)", raw, k.String())
-			}
-		}
-	})
-}
-
-// FuzzCheckpointFileName fuzzes the filename parser, seeded with the
-// PR 5 sweep-<digest>-w<warmup>.bpc naming corpus (names produced by
-// checkpoint.PathFor itself).
-func FuzzCheckpointFileName(f *testing.F) {
-	for i := byte(0); i < 4; i++ {
-		for _, warmup := range []uint64{0, 100, 500, 1 << 20} {
-			f.Add(filepath.Base(checkpoint.PathFor(".", testDigest(i), warmup)))
-		}
-	}
-	f.Add("sweep--w.bpc")
-	f.Add("not-a-checkpoint")
-	f.Fuzz(func(t *testing.T, name string) {
-		prefix, warmup, err := ParseCheckpointFile(name)
-		if err != nil {
-			return
-		}
-		if got := CheckpointFileFor(prefix, warmup); got != name {
-			t.Fatalf("accepted non-canonical name %q (re-encodes to %q)", name, got)
+	f.Fuzz(func(t *testing.T, d1 []byte, w1 uint64, fp1 string, d2 []byte, w2 uint64, fp2 string) {
+		k1 := Key{Warmup: w1, Fingerprint: fp1}
+		k2 := Key{Warmup: w2, Fingerprint: fp2}
+		copy(k1.Digest[:], d1)
+		copy(k2.Digest[:], d2)
+		if k1 != k2 && k1.String() == k2.String() {
+			t.Fatalf("keys %+v and %+v share the string %q", k1, k2, k1.String())
 		}
 	})
 }

@@ -36,9 +36,6 @@ type Worker struct {
 	client CoordinatorClient
 	traces TraceProvider
 
-	// SimTemplate seeds each chunk's sim.Options (kernel selection,
-	// batch sizing); Warmup and Obs are bound per chunk.
-	SimTemplate sim.Options
 	// RetryDelay backs off transport errors (default 50ms). All
 	// transport errors — including coordinator shutdown — are
 	// retried, because a partitioned or restarted coordinator may
@@ -46,9 +43,10 @@ type Worker struct {
 	// to stop a worker.
 	RetryDelay time.Duration
 
-	mu     sync.Mutex
-	stores map[string]*checkpoint.Store //bplint:guardedby mu // "digest|warmup" -> replica cache
-	stats  WorkerStats                  //bplint:guardedby mu
+	stores *checkpoint.Stores // in-memory replica caches
+
+	mu    sync.Mutex
+	stats WorkerStats //bplint:guardedby mu
 
 	// hookChunk, when set, runs before each chunk executes; the chaos
 	// harness uses it to kill a worker mid-chunk at a deterministic
@@ -63,7 +61,7 @@ func NewWorker(id string, client CoordinatorClient, traces TraceProvider) *Worke
 		id:     id,
 		client: client,
 		traces: traces,
-		stores: make(map[string]*checkpoint.Store),
+		stores: checkpoint.NewStores(""),
 	}
 }
 
@@ -176,11 +174,8 @@ func (w *Worker) execute(ctx context.Context, ch *Chunk) *ChunkResult {
 		if err != nil {
 			return fail(fmt.Errorf("cluster: worker %s: trace %s: %w", w.id, ch.Trace, err))
 		}
-		opt := w.SimTemplate
 		var cnt obs.Counters
-		opt.Warmup = int(ch.Warmup)
-		opt.Obs = &cnt
-		ms, err := sim.RunConfigsCtx(ctx, missing, tr, opt)
+		ms, err := sim.RunConfigsCtx(ctx, missing, tr, sim.Options{Warmup: int(ch.Warmup), Obs: &cnt})
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil
@@ -227,13 +222,5 @@ func (w *Worker) storeFor(hexDigest string, warmup uint64) (*checkpoint.Store, e
 	if err != nil {
 		return nil, err
 	}
-	key := hexDigest + "|" + fmt.Sprint(warmup)
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if s, ok := w.stores[key]; ok {
-		return s, nil
-	}
-	s := checkpoint.NewMemory(digest, warmup)
-	w.stores[key] = s
-	return s, nil
+	return w.stores.For(digest, warmup)
 }

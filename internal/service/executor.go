@@ -99,7 +99,7 @@ func (m *Manager) execute(ctx context.Context, j *Job, mergeGlobal func()) (*Job
 		return nil, err
 	}
 	defer tr.Release()
-	store, err := m.storeFor(digest, j.Spec.Warmup)
+	store, err := m.stores.For(digest, uint64(j.Spec.Warmup))
 	if err != nil {
 		return nil, err
 	}

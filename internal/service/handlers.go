@@ -5,11 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"time"
 
 	"bpred/internal/trace"
 )
+
+// retryAfterSeconds is the client backoff hint sent with 429
+// responses.
+const retryAfterSeconds = "2"
 
 // Server wraps a Manager with the HTTP/JSON API. It is an
 // http.Handler; cmd/bpserved mounts it directly.
@@ -95,8 +98,7 @@ func (s *Server) handleTraceUpload(w http.ResponseWriter, r *http.Request, tenan
 			// Quota pressure clears when the tenant deletes or the
 			// operator raises the cap; hint the job-queue cadence so
 			// clients back off instead of busy-polling.
-			w.Header().Set("Retry-After",
-				strconv.Itoa(int((s.m.cfg.RetryAfter+time.Second-1)/time.Second)))
+			w.Header().Set("Retry-After", retryAfterSeconds)
 			writeError(w, http.StatusTooManyRequests, "%v", err)
 		case errors.Is(err, trace.ErrBadMagic):
 			writeError(w, http.StatusBadRequest, "not a BPT1/BPT2 trace: %v", err)
@@ -150,8 +152,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request, tenant 
 	if err != nil {
 		switch {
 		case errors.Is(err, ErrQueueFull), errors.Is(err, ErrJobQuota):
-			w.Header().Set("Retry-After",
-				strconv.Itoa(int((s.m.cfg.RetryAfter+time.Second-1)/time.Second)))
+			w.Header().Set("Retry-After", retryAfterSeconds)
 			writeError(w, http.StatusTooManyRequests, "%v", err)
 		case errors.Is(err, ErrDraining):
 			writeError(w, http.StatusServiceUnavailable, "%v", err)

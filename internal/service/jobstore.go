@@ -63,11 +63,7 @@ func (m *Manager) persistJobsLocked() error {
 		})
 		j.mu.Unlock()
 	}
-	raw, err := json.MarshalIndent(tbl, "", "  ")
-	if err != nil {
-		return fmt.Errorf("service: %w", err)
-	}
-	return atomicWrite(m.jobsPath(), raw)
+	return persistJSON(m.jobsPath(), tbl)
 }
 
 // loadJobs restores the persisted job table. Jobs the previous
@@ -137,11 +133,7 @@ func (m *Manager) loadJobs() ([]*Job, error) {
 
 // persistResult writes a job's terminal payload.
 func (m *Manager) persistResult(id string, res *JobResult) error {
-	raw, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return fmt.Errorf("service: %w", err)
-	}
-	return atomicWrite(m.resultPath(id), raw)
+	return persistJSON(m.resultPath(id), res)
 }
 
 // loadResult reads a persisted result (restart path).

@@ -187,9 +187,6 @@ type Config struct {
 	// and traces/jobs are namespaced per tenant. Empty keeps the open
 	// single-tenant mode.
 	Tenants []Tenant
-	// RetryAfter is the client backoff hint sent with 429 responses
-	// (0 = 2s).
-	RetryAfter time.Duration
 	// PublishName is the obs registry name for the manager's global
 	// counters (0 = "bpserved"). Tests running several managers in
 	// one process give each a distinct name.
@@ -209,9 +206,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxTraceBranches == 0 {
 		c.MaxTraceBranches = 1 << 24
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = 2 * time.Second
 	}
 	if c.PublishName == "" {
 		c.PublishName = "bpserved"
@@ -233,12 +227,13 @@ type Manager struct {
 	ctx  context.Context // manager lifetime; canceled by Drain
 	stop context.CancelFunc
 
-	mu     sync.Mutex
-	jobs   map[string]*Job              //bplint:guardedby mu
-	order  []string                     //bplint:guardedby mu // submission order, for deterministic listings
-	byKey  map[string]*Job              //bplint:guardedby mu
-	seq    uint64                       //bplint:guardedby mu
-	stores map[string]*checkpoint.Store //bplint:guardedby mu // digest|warmup -> shared store
+	stores *checkpoint.Stores // per-(trace, warmup) ledgers under checkpoints/
+
+	mu    sync.Mutex
+	jobs  map[string]*Job //bplint:guardedby mu
+	order []string        //bplint:guardedby mu // submission order, for deterministic listings
+	byKey map[string]*Job //bplint:guardedby mu
+	seq   uint64          //bplint:guardedby mu
 
 	queue    chan *Job
 	wg       sync.WaitGroup
@@ -287,7 +282,7 @@ func NewManager(cfg Config) (*Manager, error) {
 		stop:    stop,
 		jobs:    make(map[string]*Job),
 		byKey:   make(map[string]*Job),
-		stores:  make(map[string]*checkpoint.Store),
+		stores:  checkpoint.NewStores(filepath.Join(cfg.DataDir, "checkpoints")),
 		queue:   make(chan *Job, cfg.QueueDepth),
 		drainCh: make(chan struct{}),
 	}
@@ -329,26 +324,6 @@ func (m *Manager) Global() *obs.Counters { return m.global }
 // closed when it does, so streaming handlers can unblock.
 func (m *Manager) Draining() (bool, <-chan struct{}) {
 	return m.draining.Load(), m.drainCh
-}
-
-// storeFor returns the singleton checkpoint store for one (trace
-// digest, warmup) binding. All jobs over the same binding share one
-// Store: concurrent writers to the same BPC1 path through separate
-// Stores would overwrite each other's flushes (last rename wins).
-func (m *Manager) storeFor(digest [32]byte, warmup int) (*checkpoint.Store, error) {
-	key := fmt.Sprintf("%x|%d", digest[:], warmup)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if s, ok := m.stores[key]; ok {
-		return s, nil
-	}
-	path := checkpoint.PathFor(filepath.Join(m.cfg.DataDir, "checkpoints"), digest, uint64(warmup))
-	s, err := checkpoint.Open(path, digest, uint64(warmup))
-	if err != nil {
-		return nil, err
-	}
-	m.stores[key] = s
-	return s, nil
 }
 
 // Submit validates the spec and either enqueues a new job or dedups
@@ -643,14 +618,7 @@ func (m *Manager) Drain(ctx context.Context) error {
 		}
 	}
 drained:
-	var firstErr error
-	m.mu.Lock()
-	for _, s := range m.stores {
-		if err := s.Flush(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	m.mu.Unlock()
+	firstErr := m.stores.FlushAll()
 	if err := m.persistJobs(); err != nil && firstErr == nil {
 		firstErr = err
 	}

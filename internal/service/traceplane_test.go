@@ -512,6 +512,69 @@ func TestStreamingByteIdentity(t *testing.T) {
 	}
 }
 
+// TestStreamedTraceCountDamageFailsJob damages the record count in a
+// stored BPT2 header (3072 records become 2048 by one bit flip). The
+// block reader stops at the header's count, so without a check a
+// streamed pass would score two thirds of the trace and report no
+// error. The job must fail instead, and no cell may reach the BPC1
+// store.
+func TestStreamedTraceCountDamageFailsJob(t *testing.T) {
+	dir := t.TempDir()
+	m, err := NewManager(Config{
+		DataDir: dir, Workers: 1, PublishName: "test-count-damage",
+		StreamBranches: 1, TraceCacheCap: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Drain(context.Background())
+	info := ingestInto(t, m.Traces(), 3072, 91)
+
+	// The canonical file is BPT2 with 1024-record blocks; its count
+	// varint follows the magic, the name and the instruction count.
+	path := filepath.Join(dir, "traces", info.Digest+".bpt2")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := 4 + len(binary.AppendUvarint(nil, uint64(len(info.Name)))) + len(info.Name) +
+		len(binary.AppendUvarint(nil, info.Instructions))
+	if want := binary.AppendUvarint(nil, 3072); !bytes.Equal(data[off:off+2], want) {
+		t.Fatalf("count varint at %d is %x, want %x", off, data[off:off+2], want)
+	}
+	data[off+1] ^= 1 << 3 // 3072 -> 2048
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	const warmup = 100
+	j, _, err := m.Submit(JobSpec{Trace: info.Digest, Scheme: "gshare", Tiers: []int{4}, Warmup: warmup})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(60 * time.Second)
+	for !j.State().terminal() {
+		if time.Now().After(deadline) {
+			t.Fatalf("job stuck in %s", j.State())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if st := j.State(); st != StateFailed {
+		t.Fatalf("job over a damaged count ended %s, want failed", st)
+	}
+	digest, err := decodeHex32(info.Digest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := m.stores.For(digest, warmup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := store.Len(); n != 0 {
+		t.Fatalf("failed streamed job left %d cells in the BPC1 store", n)
+	}
+}
+
 // TestTraceByteQuota exercises per-tenant byte accounting in the
 // trace store: sizes recorded at ingest, quota refusals on both the
 // new-content and adopt-existing paths, idempotent re-uploads, and

@@ -12,6 +12,7 @@ import (
 	"sort"
 	"sync"
 
+	"bpred/internal/durable"
 	"bpred/internal/trace"
 )
 
@@ -201,11 +202,7 @@ func (s *TraceStore) persistIndexLocked() error {
 		entries = append(entries, e)
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Digest < entries[j].Digest })
-	raw, err := json.MarshalIndent(entries, "", "  ")
-	if err != nil {
-		return fmt.Errorf("service: %w", err)
-	}
-	return atomicWrite(s.indexPath(), raw)
+	return persistJSON(s.indexPath(), entries)
 }
 
 func (s *TraceStore) addOwnerLocked(digest, tenant string) bool {
@@ -396,7 +393,9 @@ func (s *TraceStore) IngestAs(ctx context.Context, r io.Reader, tenant string, q
 		return TraceInfo{}, err
 	}
 	// Rename into place so a crash mid-write never leaves a half trace
-	// under a valid digest name.
+	// under a valid digest name. This is the one commit outside
+	// durable.WriteFile: whether to rename at all is only known after
+	// the dedup check above, which needs the finished write's digest.
 	if err := os.Rename(tmp.Name(), s.pathFor(key, 2)); err != nil {
 		return TraceInfo{}, fmt.Errorf("service: %w", err)
 	}
@@ -507,7 +506,10 @@ func (h *TraceHandle) Streaming() bool { return h.tr == nil }
 // zero-copy source over a decoded handle's resident trace, or a fresh
 // block reader over a streaming handle's backing file. Every executor
 // task opens its own pass; the caller closes a source that is an
-// io.Closer.
+// io.Closer. A streamed file whose header promises a different record
+// count than the one ingested is refused: the reader stops at the
+// header's count, so a damaged count would otherwise end the pass
+// early without an error.
 func (h *TraceHandle) Open() (trace.BatchSource, error) {
 	if h.tr != nil {
 		return h.tr.NewSource(), nil
@@ -517,6 +519,13 @@ func (h *TraceHandle) Open() (trace.BatchSource, error) {
 	h.s.mu.Unlock()
 	fr, err := trace.OpenFile(path)
 	if err != nil {
+		return nil, err
+	}
+	if fr.Count() != h.info.Branches {
+		err = fmt.Errorf("service: trace file %s promises %d records, %d were ingested", path, fr.Count(), h.info.Branches)
+		if cerr := fr.Close(); cerr != nil {
+			err = fmt.Errorf("%w (and closing: %v)", err, cerr)
+		}
 		return nil, err
 	}
 	return fr, nil
@@ -643,28 +652,18 @@ func (s *TraceStore) evictLocked() {
 	}
 }
 
-// atomicWrite writes data to path via a same-directory temp file and
-// rename, so readers never observe a torn file.
-func atomicWrite(path string, data []byte) error {
-	dir, base := filepath.Split(path)
-	if dir == "" {
-		dir = "."
-	}
-	tmp, err := os.CreateTemp(dir, base+".tmp*")
+// persistJSON commits v's indented JSON to path through
+// durable.WriteFile, so readers never observe a torn file.
+func persistJSON(path string, v any) error {
+	raw, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return fmt.Errorf("service: %w", err)
 	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("service: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("service: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
+	err = durable.WriteFile(path, func(w io.Writer) error {
+		_, err := w.Write(raw)
+		return err
+	})
+	if err != nil {
 		return fmt.Errorf("service: %w", err)
 	}
 	return nil

@@ -170,9 +170,6 @@ func (r *reader1) Instructions() uint64 { return r.instructions }
 // Count returns the number of records the header promises.
 func (r *reader1) Count() uint64 { return r.count }
 
-// Version reports the on-disk format version, 1.
-func (r *reader1) Version() int { return 1 }
-
 // NextBatch fills buf by repeated decode; BPT1 is row-oriented so
 // there is no block to window into.
 func (r *reader1) NextBatch(buf []Branch) []Branch {

@@ -21,9 +21,9 @@ import (
 //	blocks, until count records are encoded:
 //	  recs    uvarint  records in this block (1..blockLen)
 //	  prevPC  uvarint  PC of the record preceding the block (0 first);
-//	                   seeds the delta chain so blocks decode
-//	                   standalone, which is what makes the index-driven
-//	                   seek path possible
+//	                   seeds the delta chain so a block decodes
+//	                   standalone; a sequential reader checks it
+//	                   against the previous block's last PC
 //	  pcLen   uvarint  byte length of the PC column
 //	  tgtLen  uvarint  byte length of the target column
 //	  crc     uint32le IEEE CRC-32 of pcCol ++ tgtCol ++ takenCol
@@ -41,10 +41,12 @@ import (
 // Splitting the record stream into same-kind columns groups the
 // small, similarly-distributed values (PC deltas cluster near zero,
 // outcomes are single bits), and bit-packing the taken column drops
-// the per-record flags byte BPT1 pays. Block file offsets and
-// branch-count offsets are not stored; both fall out of prefix sums
-// over the index entries, with the first block starting right after
-// the file header.
+// the per-record flags byte BPT1 pays. The writer emits the footer
+// index, but no reader in the program reads it: every pass streams
+// the blocks in order. Block file offsets and branch-count offsets
+// are not stored; both fall out of prefix sums over the index
+// entries, with the first block starting right after the file
+// header.
 
 var (
 	magic2      = [4]byte{'B', 'P', 'T', '2'}
@@ -246,14 +248,11 @@ type reader2 struct {
 	blockLen     uint64
 	read         uint64 // records handed out so far
 	prevPC       uint64 // last decoded PC (delta-chain state)
-	chained      bool   // prevPC is authoritative (sequential reads)
 	err          error
 
 	block   []Branch // decoded current block
 	pos     int      // cursor within block
 	payload []byte   // raw column scratch, reused across blocks
-
-	index *Index // lazily loaded by FileReader.Index
 }
 
 // newReader2 parses the BPT2 header (including the already-sniffed
@@ -301,7 +300,6 @@ func newReader2(br *bufio.Reader) (*reader2, error) {
 		instructions: instrs,
 		count:        count,
 		blockLen:     blockLen,
-		chained:      true,
 	}, nil
 }
 
@@ -309,22 +307,6 @@ func (r *reader2) Name() string         { return r.name }
 func (r *reader2) Instructions() uint64 { return r.instructions }
 func (r *reader2) Count() uint64        { return r.count }
 func (r *reader2) Err() error           { return r.err }
-
-// Version reports the on-disk format version, 2.
-func (r *reader2) Version() int { return 2 }
-
-// rewind repoints the reader at a new position in the byte stream
-// whose next block's first record is record first. The delta chain
-// restarts from the block header's prevPC (chained=false) because the
-// preceding bytes were skipped, not decoded.
-func (r *reader2) rewind(br *bufio.Reader, first uint64) {
-	r.br = br
-	r.read = first
-	r.block = r.block[:0]
-	r.pos = 0
-	r.err = nil
-	r.chained = false
-}
 
 // nextBlock decodes the next block into r.block. It returns false at
 // end of trace or on error (recorded in r.err).
@@ -350,7 +332,7 @@ func (r *reader2) nextBlock() bool {
 		r.err = fmt.Errorf("trace: reading block base pc: %w", err)
 		return false
 	}
-	if r.chained && startPC != r.prevPC {
+	if startPC != r.prevPC {
 		r.err = fmt.Errorf("trace: block base pc %#x breaks delta chain (want %#x) at record %d", startPC, r.prevPC, r.read)
 		return false
 	}
@@ -426,7 +408,6 @@ func (r *reader2) nextBlock() bool {
 		return false
 	}
 	r.prevPC = pc
-	r.chained = true
 	r.pos = 0
 	return true
 }
@@ -465,99 +446,6 @@ func (r *reader2) NextBatch(buf []Branch) []Branch {
 	r.pos += n
 	r.read += uint64(n)
 	return out
-}
-
-// Index describes a BPT2 file's block layout, reconstructed from the
-// footer: per-block file offsets, sizes, and branch-count offsets.
-type Index struct {
-	// Blocks lists every block in file order.
-	Blocks []BlockRef
-	// Start is the file offset of the first block (just past the
-	// header); End is the offset just past the last block (the index
-	// magic).
-	Start, End int64
-}
-
-// BlockRef locates one block.
-type BlockRef struct {
-	// Offset is the block's file offset; Size its encoded byte length.
-	Offset, Size int64
-	// FirstRecord is the branch-count offset of the block's first
-	// record; Records is how many records the block holds.
-	FirstRecord, Records uint64
-}
-
-// ReadIndex parses the footer index of a BPT2 file of the given size.
-func ReadIndex(ra io.ReaderAt, size int64) (*Index, error) {
-	var tail [4]byte
-	if size < 8+4 {
-		return nil, fmt.Errorf("trace: file too small (%d bytes) for a BPT2 index", size)
-	}
-	if _, err := ra.ReadAt(tail[:], size-4); err != nil {
-		return nil, fmt.Errorf("trace: reading index trailer: %w", err)
-	}
-	isize := int64(binary.LittleEndian.Uint32(tail[:]))
-	start := size - 4 - isize
-	if isize < int64(len(indexMagic2))+1+4 || start < int64(len(magic2)) {
-		return nil, fmt.Errorf("trace: implausible index size %d in %d-byte file", isize, size)
-	}
-	raw := make([]byte, isize)
-	if _, err := ra.ReadAt(raw, start); err != nil {
-		return nil, fmt.Errorf("trace: reading index: %w", err)
-	}
-	if [4]byte(raw[:4]) != indexMagic2 {
-		return nil, fmt.Errorf("trace: bad index magic %q", raw[:4])
-	}
-	payload := raw[4 : isize-4]
-	wantCRC := binary.LittleEndian.Uint32(raw[isize-4:])
-	if got := crc32.ChecksumIEEE(payload); got != wantCRC {
-		return nil, fmt.Errorf("trace: index checksum mismatch: got %08x want %08x", got, wantCRC)
-	}
-	nblocks, n := binary.Uvarint(payload)
-	if n <= 0 {
-		return nil, fmt.Errorf("trace: corrupt index block count")
-	}
-	// Every entry costs at least two payload bytes, so nblocks beyond
-	// that bound is a lie; the check also caps the allocation below.
-	if nblocks > uint64(len(payload))/2 {
-		return nil, fmt.Errorf("trace: index promises %d blocks in %d payload bytes", nblocks, len(payload))
-	}
-	payload = payload[n:]
-	idx := &Index{Blocks: make([]BlockRef, 0, nblocks), End: start}
-	var totalSize int64
-	var totalRecs uint64
-	for i := uint64(0); i < nblocks; i++ {
-		bsize, n := binary.Uvarint(payload)
-		if n <= 0 {
-			return nil, fmt.Errorf("trace: corrupt index entry %d", i)
-		}
-		payload = payload[n:]
-		brecs, n := binary.Uvarint(payload)
-		if n <= 0 {
-			return nil, fmt.Errorf("trace: corrupt index entry %d", i)
-		}
-		payload = payload[n:]
-		idx.Blocks = append(idx.Blocks, BlockRef{
-			Size:        int64(bsize),
-			Records:     brecs,
-			FirstRecord: totalRecs,
-		})
-		totalSize += int64(bsize)
-		totalRecs += brecs
-	}
-	if len(payload) != 0 {
-		return nil, fmt.Errorf("trace: %d trailing bytes after index entries", len(payload))
-	}
-	idx.Start = start - totalSize
-	if idx.Start < int64(len(magic2)) {
-		return nil, fmt.Errorf("trace: index block sizes overrun the file header")
-	}
-	off := idx.Start
-	for i := range idx.Blocks {
-		idx.Blocks[i].Offset = off
-		off += idx.Blocks[i].Size
-	}
-	return idx, nil
 }
 
 // WriteFile2 writes a whole trace to path in BPT2 form. blockLen 0

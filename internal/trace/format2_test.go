@@ -56,8 +56,8 @@ func TestBPT2RoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: NewReader: %v", n, err)
 		}
-		if r.Version() != 2 {
-			t.Fatalf("n=%d: version %d, want 2", n, r.Version())
+		if _, ok := r.(*reader2); !ok {
+			t.Fatalf("n=%d: NewReader returned %T, want the BPT2 reader", n, r)
 		}
 		if r.Name() != tr.Name || r.Instructions() != tr.Instructions || r.Count() != uint64(n) {
 			t.Fatalf("n=%d: header mismatch: %q/%d/%d", n, r.Name(), r.Instructions(), r.Count())
@@ -192,12 +192,24 @@ func TestBPT2CorruptionDetected(t *testing.T) {
 	// Flip one bit in every byte position after the file header; every
 	// flip must surface as an error (checksum, chain break, or column
 	// shape), never as a silently different decode. Positions inside
-	// the index are exempt — sequential streaming never reads it.
-	idx, err := ReadIndex(bytes.NewReader(data), int64(len(data)))
-	if err != nil {
-		t.Fatalf("ReadIndex: %v", err)
+	// the footer index are exempt — sequential streaming never reads
+	// it. The blocks run from the end of the file header to the
+	// footer, whose size (less the 4-byte trailer itself) is the
+	// trailing isize.
+	hdr := binary.AppendUvarint(bytes.Clone(magic2[:]), uint64(len(tr.Name)))
+	hdr = append(hdr, tr.Name...)
+	for _, v := range []uint64{tr.Instructions, uint64(tr.Len()), 128} {
+		hdr = binary.AppendUvarint(hdr, v)
 	}
-	for pos := idx.Start; pos < idx.End; pos++ {
+	if !bytes.HasPrefix(data, hdr) {
+		t.Fatalf("encoded stream does not start with the expected %d-byte header", len(hdr))
+	}
+	start := len(hdr)
+	end := len(data) - 4 - int(binary.LittleEndian.Uint32(data[len(data)-4:]))
+	if end <= start || !bytes.Equal(data[end:end+4], indexMagic2[:]) {
+		t.Fatalf("block region [%d,%d) does not end at the footer index magic", start, end)
+	}
+	for pos := start; pos < end; pos++ {
 		mut := bytes.Clone(data)
 		mut[pos] ^= 0x40
 		if err := drain(mut); err == nil {
@@ -220,7 +232,7 @@ func TestBPT2CorruptionDetected(t *testing.T) {
 		}
 	}
 	// Truncations must error, not silently shorten.
-	for _, cut := range []int{int(idx.End) - 1, int(idx.Start) + 5, len(data) / 2} {
+	for _, cut := range []int{end - 1, start + 5, len(data) / 2} {
 		if err := drain(data[:cut]); err == nil {
 			t.Fatalf("truncation at %d decoded cleanly", cut)
 		}
@@ -251,68 +263,6 @@ func TestBPT2LyingBlockHeader(t *testing.T) {
 	}
 	if r.Err() == nil {
 		t.Fatal("lying block header produced no error")
-	}
-}
-
-func TestBPT2IndexAndSeek(t *testing.T) {
-	tr := &Trace{Name: "seek", Instructions: 4, Branches: synthBranches(1000, 21)}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "seek.bpt2")
-	if err := WriteFile2(path, tr, 128); err != nil {
-		t.Fatal(err)
-	}
-	fr, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fr.Close()
-	idx, err := fr.Index()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := (1000 + 127) / 128; len(idx.Blocks) != want {
-		t.Fatalf("%d index blocks, want %d", len(idx.Blocks), want)
-	}
-	var total uint64
-	for i, b := range idx.Blocks {
-		if b.FirstRecord != total {
-			t.Fatalf("block %d first record %d, want %d", i, b.FirstRecord, total)
-		}
-		total += b.Records
-	}
-	if total != 1000 {
-		t.Fatalf("index records sum %d, want 1000", total)
-	}
-	for _, n := range []uint64{0, 1, 127, 128, 500, 999, 1000} {
-		if err := fr.SeekBranch(n); err != nil {
-			t.Fatalf("SeekBranch(%d): %v", n, err)
-		}
-		b, ok := fr.Next()
-		if n == 1000 {
-			if ok {
-				t.Fatal("record past end after seek to count")
-			}
-			if fr.Err() != nil {
-				t.Fatalf("seek to count: %v", fr.Err())
-			}
-			continue
-		}
-		if !ok {
-			t.Fatalf("SeekBranch(%d): no record: %v", n, fr.Err())
-		}
-		if b != tr.Branches[n] {
-			t.Fatalf("SeekBranch(%d): %+v != %+v", n, b, tr.Branches[n])
-		}
-		// The stream must continue cleanly from the seek point.
-		for i := n + 1; i < 1000; i++ {
-			got, ok := fr.Next()
-			if !ok {
-				t.Fatalf("record %d after seek to %d missing: %v", i, n, fr.Err())
-			}
-			if got != tr.Branches[i] {
-				t.Fatalf("record %d after seek to %d: %+v != %+v", i, n, got, tr.Branches[i])
-			}
-		}
 	}
 }
 

@@ -69,37 +69,6 @@ func FuzzReader2(f *testing.F) {
 	})
 }
 
-// FuzzIndex2 checks the footer-index parser on arbitrary bytes: it
-// must reject or parse, never panic or over-allocate.
-func FuzzIndex2(f *testing.F) {
-	tr := &Trace{Name: "idx", Instructions: 1, Branches: synthBranches(200, 9)}
-	var buf bytes.Buffer
-	w, err := NewWriter2(&buf, tr.Name, tr.Instructions, uint64(tr.Len()), 32)
-	if err != nil {
-		f.Fatal(err)
-	}
-	for _, b := range tr.Branches {
-		if err := w.WriteBranch(b); err != nil {
-			f.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Add([]byte("BPI2\x00\x00\x00\x00\x00\x09\x00\x00\x00"))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		idx, err := ReadIndex(bytes.NewReader(data), int64(len(data)))
-		if err != nil {
-			return
-		}
-		if idx.Start < 0 || idx.End > int64(len(data)) {
-			t.Fatalf("index offsets [%d,%d) escape the %d-byte file", idx.Start, idx.End, len(data))
-		}
-	})
-}
-
 // FuzzRoundTrip2 checks arbitrary branch content and block geometry
 // written by the BPT2 encoder decode to identical records.
 func FuzzRoundTrip2(f *testing.F) {
